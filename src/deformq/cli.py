@@ -45,6 +45,7 @@ from deformq.weights import (
     estimate_and_snap,
     graph_seed,
     snap,
+    structural_weight,
     weight_mc,
 )
 
@@ -74,8 +75,8 @@ class RunConfig:
             raise UsageError("--order above 3 is outside the weight table scope")
         if self.order < 0:
             raise UsageError("--order must be nonnegative")
-        if self.weights_mode == "mc" and self.samples < 10_000:
-            raise UsageError("--samples must be at least 10000 in mc mode")
+        if self.samples < 10_000:
+            raise UsageError("--samples must be at least 10000")
         if self.weights_mode not in ("table", "mc"):
             raise UsageError("--weights must be 'table' or 'mc'")
 
@@ -154,7 +155,7 @@ def _ensure_snapped(cfg: RunConfig, order: int) -> WeightTable:
         needed,
         seed=cfg.seed,
         max_denominator=cfg.max_denominator,
-        initial_samples=max(cfg.samples, 10_000),
+        initial_samples=cfg.samples,
         table=table,
     )
     if table.entries != before:
@@ -217,11 +218,9 @@ def cmd_weight(args) -> int:
         )
     else:
         est = weight_mc(g, cfg.samples, graph_seed(cfg.seed, canonical_id(g)))
-        snapped = (
-            Fraction(est.mean)
-            if est.stderr == 0.0
-            else snap(est, cfg.max_denominator)
-        )
+        snapped = structural_weight(g)
+        if snapped is None:
+            snapped = snap(est, cfg.max_denominator)
     table = _load_table(cfg)
     table.put(est, snapped)
     table.save(cfg.cache_path)
@@ -325,7 +324,7 @@ def _check_assoc(args, cfg: RunConfig) -> dict:
     table = WeightTable()
     for g in star_graphs(cfg.order):
         est = weight_mc(g, cfg.samples, graph_seed(cfg.seed, canonical_id(g)))
-        table.put(est, Fraction(est.mean) if est.stderr == 0.0 else None)
+        table.put(est, structural_weight(g))
     failures = 0
     for f, g, h in triples:
         bounds = associator_weight_intervals(pi, f, g, h, cfg.order, table)

@@ -501,16 +501,3 @@ def restrict_dirac_quotient(ld: LinearDirac, u: Subspace) -> LinearDirac:
         images.append(xu + alpha_u)
     red, _ = rref(images)
     return LinearDirac(u.dim, red)
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding of rational matrices (row-major arrays of "p/q" strings)
-# ---------------------------------------------------------------------------
-
-
-def matrix_to_json(mat: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in mat]
-
-
-def matrix_from_json(data) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in data)

@@ -236,35 +236,6 @@ def build_b_gamma(
 
 
 # ---------------------------------------------------------------------------
-# JSON term lists
-# ---------------------------------------------------------------------------
-
-
-def op_to_json(op: MultiDiffOp) -> dict:
-    from deformq.polyalg import format_polynomial
-
-    return {
-        "dim": op.dim,
-        "arity": op.arity,
-        "terms": [
-            {"coeff": format_polynomial(coeff), "derivs": [list(k) for k in key]}
-            for key, coeff in sorted(op.terms.items())
-        ],
-    }
-
-
-def op_from_json(data: dict) -> MultiDiffOp:
-    from deformq.polyalg import parse_polynomial
-
-    dim, arity = int(data["dim"]), int(data["arity"])
-    terms = {}
-    for item in data["terms"]:
-        key = tuple(tuple(int(e) for e in k) for k in item["derivs"])
-        terms[key] = parse_polynomial(item["coeff"], dim)
-    return MultiDiffOp(dim, arity, terms)
-
-
-# ---------------------------------------------------------------------------
 # Gerstenhaber composition
 # ---------------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ indices are normalized on construction with the usual sign.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -268,8 +269,8 @@ class FormalSeries:
     """Truncated power series in the formal parameter h.
 
     coeffs[k] is the coefficient of h^k; len(coeffs) == order + 1.  The value
-    type is arbitrary (Polynomial, MultiDiffOp, ...); arithmetic helpers take
-    the operations they need as arguments.
+    type is arbitrary (Polynomial, MultiDiffOp, ...); products go through
+    truncated_product.
     """
 
     order: int
@@ -283,33 +284,34 @@ class FormalSeries:
     def __getitem__(self, k: int):
         return self.coeffs[k]
 
-    def map(self, fn: Callable) -> "FormalSeries":
-        return FormalSeries(self.order, tuple(fn(c) for c in self.coeffs))
-
-    def add(self, other: "FormalSeries") -> "FormalSeries":
-        order = min(self.order, other.order)
-        return FormalSeries(
-            order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def sub(self, other: "FormalSeries") -> "FormalSeries":
         order = min(self.order, other.order)
         return FormalSeries(
             order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def convolve(
-        self, other: "FormalSeries", mul: Callable, zero
-    ) -> "FormalSeries":
-        """Cauchy product truncated at min(self.order, other.order)."""
-        order = min(self.order, other.order)
-        out = []
-        for r in range(order + 1):
-            acc = zero
-            for i in range(r + 1):
-                acc = acc + mul(self.coeffs[i], other.coeffs[r - i])
-            out.append(acc)
-        return FormalSeries(order, tuple(out))
+
+def truncated_product(
+    factors: Sequence[Sequence], order: int, term: Callable, zero
+) -> list:
+    """Coefficients h^0 .. h^order of the Cauchy product of the factors.
+
+    factors[m][i] is the h^i coefficient of the m-th factor.  The h^r
+    coefficient is zero plus term(factors[0][i_0], ..., factors[-1][i_last])
+    summed over every index tuple with i_0 + ... + i_last = r, taken in
+    lexicographic order, so a float or list-valued term sums in a fixed order.
+    """
+    out = []
+    for r in range(order + 1):
+        acc = zero
+        for head in itertools.product(range(r + 1), repeat=len(factors) - 1):
+            last = r - sum(head)
+            if last < 0:
+                continue
+            idx = head + (last,)
+            acc = acc + term(*(f[i] for f, i in zip(factors, idx)))
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ convention through the weight normalization (wedge graph weight +1/2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -23,7 +24,13 @@ from deformq.operators import (
     build_b_gamma,
     insert,
 )
-from deformq.polyalg import FormalSeries, Polynomial, PolyVector, jacobiator
+from deformq.polyalg import (
+    FormalSeries,
+    Polynomial,
+    PolyVector,
+    jacobiator,
+    truncated_product,
+)
 from deformq.weights import WeightTable
 
 
@@ -73,15 +80,12 @@ def lift(p: Polynomial, order: int) -> FormalSeries:
 def star_apply(star: StarSeries, a: FormalSeries, b: FormalSeries) -> FormalSeries:
     """Bilinear extension of the star product to truncated series arguments."""
     order = min(star.order, a.order, b.order)
-    dim = star.dim
-    out = []
-    for r in range(order + 1):
-        acc = Polynomial.zero(dim)
-        for i in range(r + 1):
-            for j in range(r - i + 1):
-                k = r - i - j
-                acc = acc + apply_op(star.ops[k], [a[i], b[j]])
-        out.append(acc)
+    out = truncated_product(
+        (a, b, star.ops),
+        order,
+        lambda p, q, op: apply_op(op, [p, q]),
+        Polynomial.zero(star.dim),
+    )
     return FormalSeries(order, tuple(out))
 
 
@@ -319,18 +323,17 @@ def gauge_transform(star: StarSeries, d_op: GaugeOperator) -> StarSeries:
         raise ValueError("dimension mismatch")
     order = min(star.order, d_op.order)
     dinv = gauge_inverse(d_op)
-    dim = star.dim
-    ops = []
-    for r in range(order + 1):
-        acc = MultiDiffOp.zero(dim, 2)
-        for i in range(r + 1):
-            for j in range(r - i + 1):
-                for k in range(r - i - j + 1):
-                    l = r - i - j - k
-                    inner = insert(star.ops[j], 0, d_op.maps[k])
-                    inner = insert(inner, 1, d_op.maps[l])
-                    acc = acc + _compose_unary(dinv.maps[i], inner)
-        ops.append(acc)
+
+    def term(inv, op, left, right):
+        inner = insert(insert(op, 0, left), 1, right)
+        return _compose_unary(inv, inner)
+
+    ops = truncated_product(
+        (dinv.maps, star.ops, d_op.maps, d_op.maps),
+        order,
+        term,
+        MultiDiffOp.zero(star.dim, 2),
+    )
     return StarSeries(order, tuple(ops))
 
 
@@ -455,11 +458,6 @@ def _imul(a: Interval, b: Interval) -> Interval:
     return (min(prods), max(prods))
 
 
-def _iscale(a: Interval, c: float) -> Interval:
-    lo, hi = a[0] * c, a[1] * c
-    return (lo, hi) if lo <= hi else (hi, lo)
-
-
 IntervalPoly = dict[tuple, Interval]
 
 
@@ -475,15 +473,16 @@ def _ipoly_add(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
 
 
 def _ipoly_scale_poly(p: Polynomial, iv: Interval) -> IntervalPoly:
-    return {k: _iscale(iv, float(c)) for k, c in p.terms.items()}
+    return {k: _imul(iv, (float(c), float(c))) for k, c in p.terms.items()}
 
 
 def _weight_intervals(
     pi: PolyVector, order: int, table: WeightTable
 ) -> list[list[tuple[MultiDiffOp, Interval]]]:
-    """Per order n >= 1: the nonzero graph operators with their weight
-    3-sigma intervals (snapped entries become exact points)."""
-    per_order = []
+    """Per order n: the nonzero h^n operators with their weight 3-sigma
+    intervals (snapped entries become exact points); order 0 is the
+    pointwise multiplication with weight exactly 1."""
+    per_order = [[(MultiDiffOp.multiplication(pi.dim), (1.0, 1.0))]]
     for n in range(1, order + 1):
         row = []
         for g, op in graph_operators(pi, n):
@@ -506,33 +505,27 @@ def _weight_intervals(
 def _istar_apply(
     per_order, dim: int, a: list[IntervalPoly], b: list[IntervalPoly]
 ) -> list[IntervalPoly]:
-    """Interval star product of two interval series (index = h order)."""
-    order = len(a) - 1
-    out: list[IntervalPoly] = [dict() for _ in range(order + 1)]
-    for r in range(order + 1):
-        for i in range(r + 1):
-            for j in range(r - i + 1):
-                k = r - i - j
-                for mono_a, iva in a[i].items():
-                    pa = Polynomial(dim, {mono_a: Fraction(1)})
-                    for mono_b, ivb in b[j].items():
-                        pb = Polynomial(dim, {mono_b: Fraction(1)})
-                        scale = _imul(iva, ivb)
-                        if k == 0:
-                            val = pa * pb
-                            out[r] = _ipoly_add(
-                                out[r], _ipoly_scale_poly(val, scale)
-                            )
-                            continue
-                        for op, wiv in per_order[k - 1]:
-                            val = apply_op(op, [pa, pb])
-                            if val.is_zero:
-                                continue
-                            out[r] = _ipoly_add(
-                                out[r],
-                                _ipoly_scale_poly(val, _imul(scale, wiv)),
-                            )
-    return out
+    """Interval star product of two interval series (index = h order).
+
+    Each term returns its contributions as a list and the lists are summed
+    afterwards, one contribution at a time, which fixes the float summation
+    order."""
+
+    def term(ca: IntervalPoly, cb: IntervalPoly, row) -> list[IntervalPoly]:
+        parts = []
+        for mono_a, iva in ca.items():
+            pa = Polynomial(dim, {mono_a: Fraction(1)})
+            for mono_b, ivb in cb.items():
+                pb = Polynomial(dim, {mono_b: Fraction(1)})
+                scale = _imul(iva, ivb)
+                for op, wiv in row:
+                    val = apply_op(op, [pa, pb])
+                    if not val.is_zero:
+                        parts.append(_ipoly_scale_poly(val, _imul(scale, wiv)))
+        return parts
+
+    sums = truncated_product((a, b, per_order), len(a) - 1, term, [])
+    return [functools.reduce(_ipoly_add, parts, {}) for parts in sums]
 
 
 def associator_weight_intervals(
@@ -556,14 +549,11 @@ def associator_weight_intervals(
     fa, ga, ha = lift_ip(f), lift_ip(g), lift_ip(h)
     left = _istar_apply(per_order, dim, _istar_apply(per_order, dim, fa, ga), ha)
     right = _istar_apply(per_order, dim, fa, _istar_apply(per_order, dim, ga, ha))
-    out = []
-    for lc, rc in zip(left, right):
-        diff = dict(lc)
-        for k, iv in rc.items():
-            neg = (-iv[1], -iv[0])
-            diff[k] = _iadd(diff[k], neg) if k in diff else neg
-        out.append(diff)
-    return out
+    minus_one = (-1.0, -1.0)
+    return [
+        _ipoly_add(lc, {k: _imul(iv, minus_one) for k, iv in rc.items()})
+        for lc, rc in zip(left, right)
+    ]
 
 
 def intervals_contain_zero(series: list[IntervalPoly]) -> bool:

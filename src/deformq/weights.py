@@ -185,6 +185,23 @@ def _sample_heavy(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
     return np.where(z.imag <= 0.0, np.conj(z), z)
 
 
+def structural_weight(g: AdmissibleGraph) -> Fraction | None:
+    """The weight of a graph that is exact by rule, else None.
+
+    A graph whose edge count differs from 2n + nbar - 2 has weight 0, as does
+    a graph with a repeated edge (the same 1-form wedged with itself); the
+    empty graph integrates the empty wedge over a point and has weight 1.
+    """
+    if not g.has_required_edge_count():
+        return Fraction(0)
+    edges = g.edges()
+    if len(set(edges)) != len(edges):
+        return Fraction(0)
+    if g.n == 0:
+        return Fraction(1)
+    return None
+
+
 def weight_mc(
     g: AdmissibleGraph,
     samples: int,
@@ -193,8 +210,7 @@ def weight_mc(
 ) -> WeightEstimate:
     """Monte-Carlo estimate of the (prefactored) weight of a graph, nbar = 2.
 
-    Graphs whose edge count differs from 2n + nbar - 2 have weight exactly 0,
-    as do graphs with a repeated edge (the same 1-form wedged with itself).
+    Graphs with a structural_weight get it exactly, with zero stderr.
     Identical (graph, samples, seed) inputs give bit-identical estimates.
     """
     if g.nbar != 2:
@@ -202,15 +218,10 @@ def weight_mc(
     if samples < 1:
         raise ValueError("samples must be positive")
     gid = canonical_id(g)
-    if not g.has_required_edge_count():
-        return WeightEstimate(gid, 0.0, 0.0, samples, seed)
-    edges = g.edges()
-    if len(set(edges)) != len(edges):
-        return WeightEstimate(gid, 0.0, 0.0, samples, seed)
+    exact = structural_weight(g)
+    if exact is not None:
+        return WeightEstimate(gid, float(exact), 0.0, samples, seed)
     n = g.n
-    if n == 0:
-        # empty graph: zero-dimensional slice, empty wedge integrates to 1
-        return WeightEstimate(gid, 1.0, 0.0, samples, seed)
 
     prefactor = 1.0 / (TWO_PI ** (2 * n))
     for star in g.stars:
@@ -422,15 +433,16 @@ def estimate_and_snap(
 ) -> tuple[WeightEstimate, Fraction | None]:
     """Estimate with doubling sample counts until snapping is unambiguous.
 
-    Estimates with exactly zero spread (wrong edge count, repeated edges, the
-    empty graph) are exact and snap directly.
+    A graph with a structural_weight returns it directly.  Any other
+    estimate must have a positive spread: snap raises ValueError otherwise.
     """
     gid = canonical_id(g)
     gseed = graph_seed(seed, gid)
     samples = initial_samples
     est = weight_mc(g, samples, gseed)
-    if est.stderr == 0.0:
-        return est, Fraction(est.mean).limit_denominator(max_denominator)
+    exact = structural_weight(g)
+    if exact is not None:
+        return est, exact
     while True:
         snapped = snap(est, max_denominator)
         if snapped is not None or samples >= max_samples:

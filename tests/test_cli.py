@@ -117,6 +117,17 @@ def test_weight_determinism(capsys, tmp_path):
     assert a == b
 
 
+def test_weight_samples_floor_in_table_mode(tmp_path):
+    # a one-sample estimate has zero spread and must not snap to 0
+    cache = tmp_path / "w.json"
+    code = main(
+        ["weight", "--graph", "1;2;[b1,b2]", "--samples", "1",
+         "--cache", str(cache)]
+    )
+    assert code == 2
+    assert not cache.exists()
+
+
 def test_weight_malformed_id(capsys, tmp_path):
     code = main(["weight", "--graph", "junk", "--cache", str(tmp_path / "w.json")])
     assert code == 2

@@ -16,8 +16,6 @@ from deformq.linsymp import (
     identity,
     intersect,
     mat_mul,
-    matrix_from_json,
-    matrix_to_json,
     rank,
     restrict_dirac,
     restrict_dirac_quotient,
@@ -312,10 +310,3 @@ def test_intersection():
     a = Subspace(3, (e_vec(3, 0), e_vec(3, 1)))
     b = Subspace(3, (e_vec(3, 1), e_vec(3, 2)))
     assert intersect(a, b) == Subspace(3, (e_vec(3, 1),))
-
-
-def test_matrix_json_round_trip():
-    mat = frac_matrix([[Fraction(1, 2), -3], [0, Fraction(7, 5)]])
-    data = matrix_to_json(mat)
-    assert data == [["1/2", "-3"], ["0", "7/5"]]
-    assert matrix_from_json(data) == mat

@@ -399,12 +399,3 @@ def test_insert_slot_bounds():
     m = MultiDiffOp.multiplication(2)
     with pytest.raises(ValueError):
         insert(m, 2, MultiDiffOp.identity(2))
-
-
-def test_operator_json_round_trip():
-    from deformq.operators import op_from_json, op_to_json
-
-    rng = random.Random(71)
-    for _ in range(10):
-        op = rand_op(rng, rng.choice([1, 2, 3]), rng.randint(1, 3))
-        assert op_from_json(op_to_json(op)) == op

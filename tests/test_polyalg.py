@@ -13,6 +13,7 @@ from deformq.polyalg import (
     parse_polynomial,
     poisson_bracket,
     schouten,
+    truncated_product,
 )
 
 
@@ -355,7 +356,17 @@ def test_formal_series_convolution():
     x = Polynomial.var(1, 1)
     a = FormalSeries(2, (one, x, Polynomial.zero(1)))
     b = FormalSeries(2, (x, one, Polynomial.zero(1)))
-    prod = a.convolve(b, lambda p, q: p * q, Polynomial.zero(1))
-    assert prod.coeffs[0] == x
-    assert prod.coeffs[1] == one + x * x
-    assert prod.coeffs[2] == x
+    prod = truncated_product((a, b), 2, lambda p, q: p * q, Polynomial.zero(1))
+    assert prod == [x, one + x * x, x]
+    # list-valued terms expose the summation order: index tuples of sum r,
+    # lexicographic
+    for nfactors in (3, 4):
+        indices = [range(3)] * nfactors
+        tuples = truncated_product(indices, 2, lambda *idx: [idx], [])
+        for r, got in enumerate(tuples):
+            expected = [
+                idx
+                for idx in itertools.product(range(r + 1), repeat=nfactors)
+                if sum(idx) == r
+            ]
+            assert got == expected

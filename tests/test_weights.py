@@ -14,6 +14,7 @@ from deformq.weights import (
     estimate_and_snap,
     graph_seed,
     snap,
+    structural_weight,
     weight_mc,
 )
 
@@ -274,6 +275,13 @@ def test_estimate_and_snap_exact_cases():
     assert val == 1 and est.stderr == 0.0
     est, val = estimate_and_snap(AdmissibleGraph(1, 2, ((b1, b1),)), 5)
     assert val == 0 and est.stderr == 0.0
+
+
+def test_zero_spread_estimate_does_not_snap():
+    # one sample gives zero variance; only structural weights are exact
+    assert structural_weight(WEDGE) is None
+    with pytest.raises(ValueError):
+        estimate_and_snap(WEDGE, 5, initial_samples=1)
 
 
 # ---------------------------------------------------------------------------
