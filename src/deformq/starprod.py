@@ -101,6 +101,20 @@ def associator(
     return left.sub(right)
 
 
+def operator_associator(star: StarSeries) -> tuple[MultiDiffOp, ...]:
+    """The h^r coefficients of (f*g)*h - f*(g*h) as tridifferential
+    operators, sum_{i+j=r} B_i(B_j(.,.),.) - B_i(.,B_j(.,.)) for r = 0..order;
+    all vanish iff the series is associative for every argument triple."""
+    return tuple(
+        truncated_product(
+            (star.ops, star.ops),
+            star.order,
+            lambda a, b: insert(a, 0, b) - insert(a, 1, b),
+            MultiDiffOp.zero(star.dim, 3),
+        )
+    )
+
+
 # ---------------------------------------------------------------------------
 # Moyal product
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from deformq.graphs import AdmissibleGraph, canonical_id, is_boundary
 
 TWO_PI = 2.0 * math.pi
 CHUNK = 1 << 16
+MAX_SAMPLES = 64_000_000
 
 
 def angle(z: complex, w: complex) -> float:
@@ -429,7 +430,7 @@ def estimate_and_snap(
     seed: int,
     max_denominator: int = 24,
     initial_samples: int = 1_000_000,
-    max_samples: int = 64_000_000,
+    max_samples: int = MAX_SAMPLES,
 ) -> tuple[WeightEstimate, Fraction | None]:
     """Estimate with doubling sample counts until snapping is unambiguous.
 
@@ -457,6 +458,7 @@ def build_weight_table(
     max_denominator: int = 24,
     initial_samples: int = 1_000_000,
     table: WeightTable | None = None,
+    max_samples: int = MAX_SAMPLES,
 ) -> WeightTable:
     """Snapped weights for the given graphs; existing snapped entries are kept."""
     table = table if table is not None else WeightTable()
@@ -465,7 +467,7 @@ def build_weight_table(
         if table.exact(gid) is not None:
             continue
         est, snapped = estimate_and_snap(
-            g, seed, max_denominator, initial_samples
+            g, seed, max_denominator, initial_samples, max_samples
         )
         table.put(est, snapped)
     return table

@@ -1,7 +1,10 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from deformq import cli
 from deformq.cli import load_poisson, main, save_poisson
 from deformq.polyalg import Polynomial, PolyVector
 
@@ -153,6 +156,13 @@ def test_moyal_command(capsys, const_pi_file):
     )
     assert code == 0
     assert out == {"order": 2, "coeffs": ["x1 x2", "1", "0"]}
+    # the closed form needs no weights, so order 3 stays available
+    code, out = run(
+        capsys,
+        ["moyal", "--pi", const_pi_file, "--f", "x1^2", "--g", "x2^2", "--order", "3"],
+    )
+    assert code == 0
+    assert out == {"order": 3, "coeffs": ["x1^2 x2^2", "4 x1 x2", "2", "0"]}
 
 
 def test_star_so3_coordinates(capsys, so3_file, cache_arg):
@@ -231,6 +241,54 @@ def test_star_order_guard(capsys, so3_file, cache_arg):
     assert code == 2
 
 
+def test_star_ignores_unsnapped_graphs_it_does_not_use(
+    capsys, so3_file, weight_cache_path, tmp_path
+):
+    # an order-2 estimate too short to snap must not fail an order-1 request
+    cache = tmp_path / "c.json"
+    shutil.copyfile(weight_cache_path, cache)
+    code, out = run(
+        capsys,
+        ["weight", "--graph", "2;2;[2,b1],[b1,b2]", "--weights", "mc",
+         "--samples", "10000", "--seed", "3", "--cache", str(cache)],
+    )
+    assert code == 0 and out["snapped"] is None
+    code, out = run(
+        capsys,
+        ["star", "--pi", so3_file, "--f", "x1", "--g", "x2", "--order", "1",
+         "--cache", str(cache)],
+    )
+    assert code == 0
+    assert out["coeffs"] == ["x1 x2", "x3"]
+
+
+@pytest.mark.parametrize("mode", ["table", "mc"])
+@pytest.mark.parametrize(
+    "command",
+    [["star", "--f", "x1", "--g", "x2"], ["check", "assoc"], ["assoc"]],
+    ids=["star", "check-assoc", "assoc"],
+)
+def test_order_three_refused_before_any_work(
+    monkeypatch, tmp_path, so3_file, command, mode
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("order 3 must be refused before any work")
+
+    for name in (
+        "build_weight_table", "estimate_and_snap", "weight_mc",
+        "kontsevich_star_series",
+    ):
+        monkeypatch.setattr(cli, name, no_work)
+    cache = tmp_path / "w.json"
+    code = main(
+        command
+        + ["--pi", so3_file, "--order", "3", "--weights", mode,
+           "--samples", "10000", "--cache", str(cache)]
+    )
+    assert code == 2
+    assert not cache.exists()
+
+
 def test_mc_samples_guard(so3_file):
     code = main(
         ["star", "--pi", so3_file, "--f", "x1", "--g", "x2",
@@ -273,6 +331,35 @@ def test_check_assoc_table(capsys, so3_file, cache_arg):
     )
     assert code == 0
     assert out["pass"] is True and out["failures"] == 0
+
+
+def test_check_assoc_stdout_bytes(capsys, so3_file, cache_arg):
+    # the benchmark's digest oracle compares exactly these bytes
+    code = main(["check", "assoc", "--pi", so3_file, "--order", "2"] + cache_arg)
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{\n "check": "assoc",\n "failures": 0,\n "mode": "table",\n'
+        ' "order": 2,\n "pass": true,\n "triples": 27\n}\n'
+    )
+
+
+def test_check_assoc_certifies_operator_identity(
+    capsys, so3_file, weight_cache_path, tmp_path
+):
+    # a wrong order-2 weight whose defect acts only on second derivatives:
+    # every coordinate triple passes, the operator identity does not
+    entries = json.loads(Path(weight_cache_path).read_text())
+    assert entries["2;2;[b1,b2],[b1,b2]"]["snapped"] == "1/4"
+    entries["2;2;[b1,b2],[b1,b2]"]["snapped"] = "1/2"
+    cache = tmp_path / "perturbed.json"
+    cache.write_text(json.dumps(entries))
+    code, out = run(
+        capsys,
+        ["check", "assoc", "--pi", so3_file, "--order", "2", "--cache", str(cache)],
+    )
+    assert code == 1
+    assert out["pass"] is False
+    assert out["failures"] == 0 and out["triples"] == 27
 
 
 def test_assoc_alias(capsys, so3_file, cache_arg):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from deformq.graphs import parse_id
-from deformq.operators import MultiDiffOp
+from deformq.operators import MultiDiffOp, apply_op
 from deformq.polyalg import (
     FormalSeries,
     Polynomial,
@@ -29,6 +29,7 @@ from deformq.starprod import (
     moyal,
     moyal_series,
     moyal_via_wick,
+    operator_associator,
     star_apply,
     wick_pairings,
 )
@@ -356,20 +357,6 @@ def test_interval_zero_widths_match_exact_path(weight_table):
 # ---------------------------------------------------------------------------
 
 
-def _operator_associativity_defect(series: StarSeries, r: int) -> MultiDiffOp:
-    """Order-r coefficient of (f*g)*h - f*(g*h) as a tridifferential
-    operator, by direct slot insertion (independent of the bracket path)."""
-    from deformq.operators import insert
-
-    dim = series.dim
-    acc = MultiDiffOp.zero(dim, 3)
-    for i in range(r + 1):
-        j = r - i
-        acc = acc + insert(series.ops[i], 0, series.ops[j])
-        acc = acc - insert(series.ops[i], 1, series.ops[j])
-    return acc
-
-
 def _maurer_cartan_defect(series: StarSeries, r: int) -> MultiDiffOp:
     """Order-r coefficient of d_m B + (1/2)[B, B]_G for B = sum h^i B_i."""
     from deformq.operators import gerstenhaber_bracket, hochschild_d
@@ -394,17 +381,51 @@ def test_maurer_cartan_equals_associativity_defect(weight_table):
         kontsevich_star_series(so3_bivector(), 2, weight_table),
     ]
     for series in series_list:
+        defect = operator_associator(series)
+        assert defect[0].is_zero
         for r in (1, 2):
-            assoc = _operator_associativity_defect(series, r)
             mc = _maurer_cartan_defect(series, r)
-            assert assoc == mc
+            assert defect[r] == mc
             assert mc.is_zero
     # a non-associative truncation shows the same nonzero defect both ways
     dim = 2
     b1 = MultiDiffOp(dim, 2, {((2, 0), (0, 1)): Polynomial.const(dim, 1)})
     bad = StarSeries(1, (MultiDiffOp.multiplication(dim), b1))
-    assert _operator_associativity_defect(bad, 1) == _maurer_cartan_defect(bad, 1)
+    assert operator_associator(bad)[1] == _maurer_cartan_defect(bad, 1)
     assert not _maurer_cartan_defect(bad, 1).is_zero
+
+
+def test_operator_associator_matches_argument_associator(weight_table):
+    # the operator defect applied to (f, g, h) is the per-argument associator,
+    # on associative series and on the non-strict counterexample alike
+    rng = random.Random(59)
+    gauged = gauge_transform(
+        moyal_series(rand_const_bivector(rng, 2), 2), rand_gauge(rng, 2, 2)
+    )
+    non_strict = StarSeries(
+        1,
+        (
+            MultiDiffOp.multiplication(2),
+            MultiDiffOp(2, 2, {((2, 0), (0, 0)): Polynomial.const(2, 1)}),
+        ),
+    )
+    series_list = [
+        moyal_series(rand_const_bivector(rng, dim), order)
+        for dim, order in ((1, 1), (2, 2), (3, 2))
+    ]
+    series_list += [
+        kontsevich_star_series(so3_bivector(), 2, weight_table),
+        gauged,
+        non_strict,
+    ]
+    for series in series_list:
+        defect = operator_associator(series)
+        assert len(defect) == series.order + 1
+        for _ in range(3):
+            fgh = [rand_poly(rng, series.dim) for _ in range(3)]
+            expected = associator(series, *fgh, series.order)
+            assert [apply_op(op, fgh) for op in defect] == list(expected.coeffs)
+    assert not operator_associator(non_strict)[1].is_zero
 
 
 def test_orientation_weight_operator_product_invariance(weight_table):
