@@ -44,6 +44,7 @@ from deformq.starprod import (
     operator_associator,
     star_apply,
     star_graphs,
+    weight_intervals,
 )
 from deformq.weights import (
     MAX_SAMPLES,
@@ -190,6 +191,21 @@ def _snapped_table(cfg: RunConfig, order: int) -> WeightTable:
     return table
 
 
+def _warn_if_not_poisson(pi: PolyVector) -> None:
+    if not jacobiator(pi).is_zero:
+        print(
+            "warning: [pi,pi] != 0, star product will not be associative",
+            file=sys.stderr,
+        )
+
+
+def _star_series(pi: PolyVector, order: int, table: WeightTable):
+    with warnings.catch_warnings():
+        # _warn_if_not_poisson already printed the one-line warning
+        warnings.simplefilter("ignore")
+        return kontsevich_star_series(pi, order, table)
+
+
 def _series_json(series) -> dict:
     return {
         "order": series.order,
@@ -253,15 +269,9 @@ def cmd_star(args) -> int:
         g = parse_polynomial(args.g, pi.dim)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if not jacobiator(pi).is_zero:
-        print(
-            "warning: [pi,pi] != 0, star product will not be associative",
-            file=sys.stderr,
-        )
+    _warn_if_not_poisson(pi)
     table = _snapped_table(cfg, cfg.order)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the warning above already surfaced
-        series_ops = kontsevich_star_series(pi, cfg.order, table)
+    series_ops = _star_series(pi, cfg.order, table)
     out = star_apply(series_ops, lift(f, cfg.order), lift(g, cfg.order))
     _emit(_series_json(out))
     return 0
@@ -293,6 +303,7 @@ def _check_jacobi(args, cfg: RunConfig) -> dict:
 def _check_assoc(args, cfg: RunConfig) -> dict:
     _require_star_order(cfg)
     pi = load_poisson(args.pi)
+    _warn_if_not_poisson(pi)
     xs = [Polynomial.var(pi.dim, i) for i in range(1, pi.dim + 1)]
     triples = list(itertools.product(xs, repeat=3))
     report = {
@@ -303,7 +314,7 @@ def _check_assoc(args, cfg: RunConfig) -> dict:
     }
     if cfg.weights_mode == "table":
         table = _snapped_table(cfg, cfg.order)
-        series = kontsevich_star_series(pi, cfg.order, table)
+        series = _star_series(pi, cfg.order, table)
         defect = operator_associator(series)
         report["failures"] = sum(
             any(not apply_op(op, list(fgh)).is_zero for op in defect)
@@ -317,12 +328,12 @@ def _check_assoc(args, cfg: RunConfig) -> dict:
     for g in star_graphs(cfg.order):
         est = weight_mc(g, cfg.samples, graph_seed(cfg.seed, canonical_id(g)))
         table.put(est, structural_weight(g))
+    per_order = weight_intervals(pi, cfg.order, table)
     report["samples"] = cfg.samples
-    report["failures"] = 0
-    for f, g, h in triples:
-        bounds = associator_weight_intervals(pi, f, g, h, cfg.order, table)
-        if not intervals_contain_zero(bounds):
-            report["failures"] += 1
+    report["failures"] = sum(
+        not intervals_contain_zero(associator_weight_intervals(per_order, *fgh))
+        for fgh in triples
+    )
     report["pass"] = report["failures"] == 0
     return report
 

@@ -92,6 +92,43 @@ def enumerate_graphs(n: int, nbar: int, out_degree: int) -> list[AdmissibleGraph
     return all_graphs
 
 
+def _target_order(t: Target) -> tuple[bool, int]:
+    """Aerial targets before boundary ones, each ascending (the order of
+    enumerate_graphs)."""
+    return is_boundary(t), abs(t)
+
+
+def orbit_representative(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
+    """The least graph in the orbit of g under relabelling of the aerial
+    vertices and reordering within each star, and the sign of the star
+    reorderings that reach it from g.
+
+    When every aerial vertex carries the same skew tensor, relabelling leaves
+    B_Gamma unchanged and swapping two edges of a star negates it, so
+    B_Gamma(g) = sign * B_Gamma(representative).  A star with a repeated
+    target makes the sign ambiguous; its operator vanishes for skew tensors.
+    """
+    best = None
+    for perm in itertools.permutations(range(1, g.n + 1)):
+        stars: list[Star] = [()] * g.n
+        sign = 1
+        for v, star in enumerate(g.stars):
+            mapped = [perm[t - 1] if not is_boundary(t) else t for t in star]
+            keys = [_target_order(t) for t in mapped]
+            inversions = sum(
+                keys[i] > keys[j]
+                for i in range(len(keys))
+                for j in range(i + 1, len(keys))
+            )
+            if inversions % 2:
+                sign = -sign
+            stars[perm[v] - 1] = tuple(sorted(mapped, key=_target_order))
+        order = tuple(tuple(map(_target_order, s)) for s in stars)
+        if best is None or order < best[0]:
+            best = (order, tuple(stars), sign)
+    return AdmissibleGraph(g.n, g.nbar, best[1]), best[2]
+
+
 _ID_RE = re.compile(r"^(\d+);(\d+);(.*)$")
 _STAR_RE = re.compile(r"\[([^\]]*)\]")
 

@@ -16,10 +16,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from deformq.graphs import AdmissibleGraph, is_boundary
-from deformq.polyalg import Polynomial, PolyVector
+from deformq.polyalg import Polynomial, PolyVector, normalize_wedge
 
 DerivIndex = tuple[int, ...]
 TermKey = tuple[DerivIndex, ...]
@@ -154,6 +154,42 @@ def apply_op(op: MultiDiffOp, args: Sequence[Polynomial]) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def _skew_components(x: PolyVector) -> list[tuple[tuple[int, ...], dict]]:
+    """The nonzero skew-extended components of x as (index tuple, term dict),
+    in lexicographic index order."""
+    out = []
+    for key, poly in x.components.items():
+        for idx in itertools.permutations(key):
+            sign, _ = normalize_wedge(idx)
+            terms = poly.terms if sign == 1 else {e: -c for e, c in poly.terms.items()}
+            out.append((idx, terms))
+    out.sort(key=lambda item: item[0])
+    return out
+
+
+def _partial_terms(terms: Mapping, multi: DerivIndex) -> dict:
+    """The term dict of d^multi applied to a term dict, in one pass."""
+    out = {}
+    for exp, coeff in terms.items():
+        if any(e < k for e, k in zip(exp, multi)):
+            continue
+        for e, k in zip(exp, multi):
+            for j in range(k):
+                coeff = coeff * (e - j)
+        out[tuple(e - k for e, k in zip(exp, multi))] = coeff
+    return out
+
+
+def _mul_terms(a: Mapping, b: Mapping) -> dict:
+    """The term dict of the product of two term dicts, zeros dropped."""
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
 def build_b_gamma(
     g: AdmissibleGraph, xs: Sequence[PolyVector], dim: int | None = None
 ) -> MultiDiffOp:
@@ -164,6 +200,10 @@ def build_b_gamma(
     coefficient or function at its endpoint.  Skew components are extended to
     all index orderings with signs.  The empty graph (n = 0) needs an explicit
     dim and yields the pointwise multiplication operator.
+
+    The sum runs over the nonzero skew components of each vertex, vertex by
+    vertex; derivatives of a component are computed once per (index tuple,
+    derivative multi-index) and shared by vertices carrying the same tensor.
     """
     if len(xs) != g.n:
         raise ValueError(f"expected {g.n} polyvectors, got {len(xs)}")
@@ -184,55 +224,57 @@ def build_b_gamma(
                 f"{len(g.stars[v - 1])}"
             )
 
-    edges = g.edges()
-    zero_idx = (0,) * d
-    terms: dict[TermKey, Polynomial] = {}
-    incoming: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    edge_positions_per_vertex = []
-    pos = 0
-    for v in range(1, g.n + 1):
-        k = len(g.stars[v - 1])
-        edge_positions_per_vertex.append(list(range(pos, pos + k)))
-        pos += k
+    # per distinct tensor: its skew components and a memo of their partials
+    shared: dict[int, tuple[list, dict]] = {}
+    vertices = [shared.setdefault(id(x), (_skew_components(x), {})) for x in xs]
+    # derivative slot of each edge: aerial vertices 0..n-1, then boundary
+    slots = [t - 1 if not is_boundary(t) else g.n - t - 1 for _, t in g.edges()]
+    unit = {(0,) * d: Fraction(1)}
+    acc: dict[TermKey, dict] = {}
+    for combo in itertools.product(*(comps for comps, _ in vertices)):
+        derivs = [[0] * d for _ in range(g.n + g.nbar)]
+        flat = (i for idx, _ in combo for i in idx)
+        for slot, i in zip(slots, flat):
+            derivs[slot][i - 1] += 1
+        coeff = unit
+        for (idx, terms), (_, memo), deriv in zip(combo, vertices, derivs):
+            k = tuple(deriv)
+            part = memo.get((idx, k))
+            if part is None:
+                part = memo[idx, k] = _partial_terms(terms, k)
+            if not part:
+                break
+            # a product of nonzero polynomials is nonzero
+            coeff = part if coeff is unit else _mul_terms(coeff, part)
+        else:
+            key = tuple(tuple(b) for b in derivs[g.n :])
+            sums = acc.setdefault(key, {})
+            for exp, c in coeff.items():
+                sums[exp] = sums.get(exp, 0) + c
+    return _from_sums(d, g.nbar, acc)
 
-    for assign in itertools.product(range(1, d + 1), repeat=len(edges)):
-        # tensor components per vertex, with skew sign extension
-        bases = []
-        ok = True
-        for v in range(1, g.n + 1):
-            idx = tuple(assign[p] for p in edge_positions_per_vertex[v - 1])
-            base = xs[v - 1].component(idx)
-            if base.is_zero:
-                ok = False
-                break
-            bases.append(base)
-        if not ok:
-            continue
-        # incoming derivatives on aerial coefficients and boundary slots
-        for v in incoming:
-            incoming[v].clear()
-        bnd = [list(zero_idx) for _ in range(g.nbar)]
-        for (src, tgt), i_e in zip(edges, assign):
-            if is_boundary(tgt):
-                bnd[-tgt - 1][i_e - 1] += 1
-            else:
-                incoming[tgt].append(i_e)
-        coeff = Polynomial.const(d, 1)
-        for v in range(1, g.n + 1):
-            base = bases[v - 1]
-            for i_e in incoming[v]:
-                base = base.partial(i_e)
-                if base.is_zero:
-                    ok = False
-                    break
-            if not ok:
-                break
-            coeff = coeff * base
-        if not ok:
-            continue
-        key = tuple(tuple(b) for b in bnd)
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return MultiDiffOp(d, g.nbar, terms)
+
+def _from_sums(dim: int, arity: int, acc: dict[TermKey, dict]) -> MultiDiffOp:
+    """The operator whose term `key` has coefficient term dict acc[key]."""
+    terms = {}
+    for key, sums in acc.items():
+        clean = {exp: c for exp, c in sums.items() if c}
+        if clean:
+            terms[key] = Polynomial._trusted(dim, clean)
+    return MultiDiffOp(dim, arity, terms)
+
+
+def linear_combination(
+    pairs: Iterable[tuple[Fraction, MultiDiffOp]], dim: int, arity: int
+) -> MultiDiffOp:
+    """sum c * op over the (c, op) pairs, accumulated in one pass."""
+    acc: dict[TermKey, dict] = {}
+    for c, op in pairs:
+        for key, coeff in op.terms.items():
+            sums = acc.setdefault(key, {})
+            for exp, v in coeff.terms.items():
+                sums[exp] = sums.get(exp, 0) + c * v
+    return _from_sums(dim, arity, acc)
 
 
 # ---------------------------------------------------------------------------

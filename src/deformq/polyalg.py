@@ -65,6 +65,15 @@ class Polynomial:
         exp[i - 1] = 1
         return Polynomial(dim, {tuple(exp): Fraction(1)})
 
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict[Exponent, Fraction]) -> "Polynomial":
+        """Wrap a term dict that is already clean (exponent tuples of length
+        dim, nonzero Fraction coefficients) without re-validating it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     # -- ring operations ---------------------------------------------------
 
     def _check_dim(self, other: "Polynomial"):

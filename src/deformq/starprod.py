@@ -17,12 +17,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from deformq.graphs import AdmissibleGraph, canonical_id, enumerate_graphs
+from deformq.graphs import (
+    AdmissibleGraph,
+    canonical_id,
+    enumerate_graphs,
+    is_boundary,
+    orbit_representative,
+)
 from deformq.operators import (
     MultiDiffOp,
     apply_op,
     build_b_gamma,
     insert,
+    linear_combination,
 )
 from deformq.polyalg import (
     FormalSeries,
@@ -186,14 +193,42 @@ def moyal(
 # ---------------------------------------------------------------------------
 
 
+def _vanishes_by_rule(g: AdmissibleGraph, top_degree: int) -> bool:
+    """B_Gamma(pi,...,pi) = 0 without building it: a star with a repeated
+    target contracts the skew pi with a symmetric pair of derivatives, and an
+    aerial vertex hit by more edges than pi's top polynomial degree
+    differentiates every component to zero."""
+    edges = g.edges()
+    if len(set(edges)) != len(edges):
+        return True
+    in_degree = [0] * (g.n + 1)
+    for _, t in edges:
+        if not is_boundary(t):
+            in_degree[t] += 1
+    return any(k > top_degree for k in in_degree[1:])
+
+
 def graph_operators(
     pi: PolyVector, n: int
 ) -> list[tuple[AdmissibleGraph, MultiDiffOp]]:
     """(graph, B_Gamma(pi,...,pi)) for every order-n graph with a nonzero
-    operator; graphs with parallel edges drop out here."""
+    operator, in enumeration order.
+
+    B_Gamma is built once per orbit_representative; every other member of
+    the orbit gets the representative's operator or its negative.  Graphs
+    that vanish by rule (_vanishes_by_rule) are never built.
+    """
+    top_degree = max((c.total_degree() for c in pi.components.values()), default=-1)
+    built: dict[AdmissibleGraph, tuple[MultiDiffOp, MultiDiffOp]] = {}
     out = []
     for g in enumerate_graphs(n, 2, 2):
-        op = build_b_gamma(g, [pi] * n, dim=pi.dim)
+        if _vanishes_by_rule(g, top_degree):
+            continue
+        rep, sign = orbit_representative(g)
+        if rep not in built:
+            op = build_b_gamma(rep, [pi] * n, dim=pi.dim)
+            built[rep] = (op, -op)
+        op = built[rep][sign < 0]
         if not op.is_zero:
             out.append((g, op))
     return out
@@ -220,7 +255,7 @@ def kontsevich_star_series(
     d = pi.dim
     ops = [MultiDiffOp.multiplication(d)]
     for n in range(1, order + 1):
-        acc = MultiDiffOp.zero(d, 2)
+        pairs = []
         missing = []
         for g, op in graph_operators(pi, n):
             gid = canonical_id(g)
@@ -229,12 +264,12 @@ def kontsevich_star_series(
                 missing.append(gid)
                 continue
             if w != 0:
-                acc = acc + op.scale(w)
+                pairs.append((w / factorial(n), op))
         if missing:
             raise MissingWeightError(
                 f"no snapped weight for graphs: {', '.join(missing)}"
             )
-        ops.append(acc.scale(Fraction(1, factorial(n))))
+        ops.append(linear_combination(pairs, d, 2))
     return StarSeries(order, tuple(ops))
 
 
@@ -490,7 +525,7 @@ def _ipoly_scale_poly(p: Polynomial, iv: Interval) -> IntervalPoly:
     return {k: _imul(iv, (float(c), float(c))) for k, c in p.terms.items()}
 
 
-def _weight_intervals(
+def weight_intervals(
     pi: PolyVector, order: int, table: WeightTable
 ) -> list[list[tuple[MultiDiffOp, Interval]]]:
     """Per order n: the nonzero h^n operators with their weight 3-sigma
@@ -543,19 +578,18 @@ def _istar_apply(
 
 
 def associator_weight_intervals(
-    pi: PolyVector,
+    per_order: list[list[tuple[MultiDiffOp, Interval]]],
     f: Polynomial,
     g: Polynomial,
     h: Polynomial,
-    order: int,
-    table: WeightTable,
 ) -> list[IntervalPoly]:
     """Interval bounds on every associator coefficient when weights carry
-    Monte-Carlo spread: each unsnapped weight enters as mean +- 3 stderr and
-    the bounds propagate by interval arithmetic (outer bounds; dependency
-    between repeated weights is ignored, widening the result)."""
-    per_order = _weight_intervals(pi, order, table)
-    dim = pi.dim
+    Monte-Carlo spread: per_order comes from weight_intervals, where each
+    unsnapped weight enters as mean +- 3 stderr, and the bounds propagate by
+    interval arithmetic (outer bounds; dependency between repeated weights
+    is ignored, widening the result)."""
+    order = len(per_order) - 1
+    dim = f.dim
 
     def lift_ip(p: Polynomial) -> list[IntervalPoly]:
         return [_ipoly_from(p)] + [dict() for _ in range(order)]

@@ -35,6 +35,10 @@ settles too slowly to separate neighbouring snap candidates.  Samples are
 generated in fixed-size chunks with independent Philox streams keyed by
 (seed, chunk index) and combined by pairwise summation, so estimates are
 bit-stable and chunk-parallelizable.
+
+numpy is imported inside the Monte-Carlo functions, not at module level, so
+the exact-algebra commands (star and check assoc on a warm cache) start
+without loading it.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from deformq.graphs import AdmissibleGraph, canonical_id, is_boundary
 
@@ -99,6 +101,8 @@ def _pairwise_sum(values: list[float]) -> float:
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=seed).jumped(index))
 
 
@@ -109,6 +113,8 @@ def _raw_integrand(
 
     a, b: arrays of shape (N, n) holding the aerial coordinates.
     """
+    import numpy as np
+
     n = g.n
     edges = g.edges()
     nsamp = a.shape[0]
@@ -140,6 +146,8 @@ def _cayley_density(z: np.ndarray) -> np.ndarray:
 
     Matches the integrand's bulk well but its tail index 4 sits exactly on
     the second-moment boundary; the heavy component below covers the tail."""
+    import numpy as np
+
     return 4.0 / (math.pi * np.abs(z + 1j) ** 4)
 
 
@@ -147,6 +155,8 @@ def _heavy_density(z: np.ndarray) -> np.ndarray:
     """Tail-insurance density: radial law 1/(pi (1+R)^3) around i, folded
     across the real axis.  Tail index 3 keeps F/p bounded at infinity since
     the edge-angle form decays like |z|^-3."""
+    import numpy as np
+
     r1 = np.abs(z - 1j)
     r2 = np.abs(z + 1j)
     return (1.0 / (1.0 + r1) ** 3 + 1.0 / (1.0 + r2) ** 3) / math.pi
@@ -154,12 +164,16 @@ def _heavy_density(z: np.ndarray) -> np.ndarray:
 
 def _offset_density(dz: np.ndarray) -> np.ndarray:
     """2D density q(dz) = f(rho)/(2 pi rho), f(rho) = 2/(1+rho)^3: ~1/rho at 0."""
+    import numpy as np
+
     rho = np.abs(dz)
     return 1.0 / (math.pi * rho * (1.0 + rho) ** 3)
 
 
 def _sample_offset_radius(u: np.ndarray) -> np.ndarray:
     """Inverse CDF of f(rho) = 2/(1+rho)^3."""
+    import numpy as np
+
     return 1.0 / np.sqrt(1.0 - u) - 1.0
 
 
@@ -173,12 +187,16 @@ def _internal_pairs(g: AdmissibleGraph) -> list[tuple[int, int]]:
 
 
 def _sample_cayley(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    import numpy as np
+
     u = rng.random((size, 2 * n))
     w = np.sqrt(u[:, 0::2]) * np.exp(1j * (TWO_PI * u[:, 1::2]))
     return 1j * (1.0 + w) / (1.0 - w)
 
 
 def _sample_heavy(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    import numpy as np
+
     u = rng.random((size, 2 * n))
     disk_r = np.sqrt(u[:, 0::2])
     radii = disk_r / (1.0 - disk_r)
@@ -222,6 +240,8 @@ def weight_mc(
     exact = structural_weight(g)
     if exact is not None:
         return WeightEstimate(gid, float(exact), 0.0, samples, seed)
+    import numpy as np
+
     n = g.n
 
     prefactor = 1.0 / (TWO_PI ** (2 * n))

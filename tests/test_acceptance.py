@@ -54,6 +54,7 @@ from deformq.starprod import (
     moyal,
     moyal_series,
     moyal_via_wick,
+    weight_intervals,
 )
 from deformq.weights import WeightEstimate, WeightTable, weight_mc
 
@@ -222,8 +223,9 @@ def test_criterion_6_order_two_associativity(weight_table):
             WeightEstimate(gid, e.mean, e.stderr, e.samples, e.seed),
             None if e.stderr > 0 else e.snapped,
         )
+    per_order = weight_intervals(pi, 2, raw)
     for f, g, h in [(xs[0], xs[1], xs[2]), (xs[1], xs[1], xs[2]), (xs[2], xs[0], xs[2])]:
-        bounds = associator_weight_intervals(pi, f, g, h, 2, raw)
+        bounds = associator_weight_intervals(per_order, f, g, h)
         assert intervals_contain_zero(bounds)
     report(
         6,

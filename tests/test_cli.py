@@ -1,10 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from deformq import cli
+from deformq import cli, starprod
 from deformq.cli import load_poisson, main, save_poisson
 from deformq.polyalg import Polynomial, PolyVector
 
@@ -466,3 +469,74 @@ def test_check_assoc_mc_mode_order_one(capsys, so3_file):
     )
     assert code == 0
     assert out["mode"] == "mc" and out["pass"] is True
+
+
+def test_check_assoc_mc_mode_builds_operators_once_per_order(
+    capsys, so3_file, monkeypatch
+):
+    calls = []
+    real = starprod.graph_operators
+
+    def counting(pi, n):
+        calls.append(n)
+        return real(pi, n)
+
+    monkeypatch.setattr(starprod, "graph_operators", counting)
+    code, out = run(
+        capsys,
+        ["check", "assoc", "--pi", so3_file, "--order", "2",
+         "--weights", "mc", "--samples", "10000"],
+    )
+    assert code == 0 and out["pass"] is True and out["triples"] == 27
+    assert calls == [1, 2]
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _deformq_subprocess(code_text, *argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code_text, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_warm_star_and_check_assoc_do_not_import_numpy(so3_file, weight_cache_path):
+    script = (
+        "import sys\n"
+        "from deformq.cli import main\n"
+        "pi, cache = sys.argv[1], sys.argv[2]\n"
+        "assert main(['star', '--pi', pi, '--f', 'x1', '--g', 'x2 x3',"
+        " '--cache', cache]) == 0\n"
+        "assert main(['check', 'assoc', '--pi', pi, '--order', '2',"
+        " '--cache', cache]) == 0\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _deformq_subprocess(script, so3_file, weight_cache_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
+
+
+def test_check_assoc_non_poisson_prints_one_warning_line(tmp_path, weight_cache_path):
+    bad = PolyVector(
+        3,
+        2,
+        {
+            (1, 2): Polynomial.var(3, 1),
+            (1, 3): Polynomial.var(3, 3),
+            (2, 3): Polynomial.var(3, 2),
+        },
+    )
+    path = tmp_path / "bad.json"
+    save_poisson(bad, path)
+    proc = _deformq_subprocess(
+        "import sys; from deformq.cli import main; sys.exit(main(sys.argv[1:]))",
+        "check", "assoc", "--pi", str(path), "--order", "2",
+        "--cache", weight_cache_path,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["pass"] is False
+    assert proc.stderr == (
+        "warning: [pi,pi] != 0, star product will not be associative\n"
+    )

@@ -8,6 +8,7 @@ from deformq.graphs import (
     canonical_id,
     enumerate_graphs,
     is_admissible,
+    orbit_representative,
     parse_id,
 )
 
@@ -121,3 +122,22 @@ def test_parse_rejects_malformed():
         parse_id("1;2;[b1,b2],[b1,b2]")  # too many stars
     with pytest.raises(ValueError):
         parse_id("1;2;[1,b1]")  # self loop
+
+
+def test_orbit_representative_is_constant_on_orbits():
+    graphs = enumerate_graphs(2, 2, 2)
+    reps = {}
+    for g in graphs:
+        rep, sign = orbit_representative(g)
+        assert sign in (1, -1)
+        assert orbit_representative(rep) == (rep, 1)
+        # swapping vertex labels and both stars' edges stays in the orbit
+        swapped = AdmissibleGraph(
+            2, 2, tuple(tuple({1: 2, 2: 1}.get(t, t) for t in reversed(s))
+                        for s in reversed(g.stars))
+        )
+        assert orbit_representative(swapped)[0] == rep
+        reps.setdefault(rep, []).append(g)
+    assert sum(map(len, reps.values())) == len(graphs)
+    assert orbit_representative(wedge()) == (wedge(), 1)
+    assert orbit_representative(AdmissibleGraph(1, 2, ((b2, b1),))) == (wedge(), -1)

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from deformq.graphs import AdmissibleGraph, boundary
+from deformq.graphs import (
+    AdmissibleGraph,
+    boundary,
+    enumerate_graphs,
+    is_boundary,
+    orbit_representative,
+)
 from deformq.operators import (
     MultiDiffOp,
     apply_op,
@@ -16,7 +22,14 @@ from deformq.operators import (
     insert,
     multiindex_splits,
 )
-from deformq.polyalg import Polynomial, PolyVector, parse_polynomial, poisson_bracket
+from deformq.polyalg import (
+    Polynomial,
+    PolyVector,
+    jacobiator,
+    parse_polynomial,
+    poisson_bracket,
+)
+from deformq.starprod import graph_operators
 
 b1, b2, b3 = boundary(1), boundary(2), boundary(3)
 
@@ -208,6 +221,157 @@ def test_strictness_on_units():
         f = rand_poly(rng, 3)
         assert apply_op(op, [one, f]).is_zero
         assert apply_op(op, [f, one]).is_zero
+
+
+# ---------------------------------------------------------------------------
+# B_Gamma kernel against the per-assignment reference
+# ---------------------------------------------------------------------------
+
+
+def _b_gamma_reference(g, xs, d):
+    """B_Gamma by the defining sum, one edge-index assignment at a time: the
+    skew component of each vertex is looked up and differentiated one
+    partial at a time, and the products are summed per boundary key."""
+    edges = g.edges()
+    zero_idx = (0,) * d
+    terms = {}
+    incoming = {v: [] for v in range(1, g.n + 1)}
+    edge_positions_per_vertex = []
+    pos = 0
+    for v in range(1, g.n + 1):
+        k = len(g.stars[v - 1])
+        edge_positions_per_vertex.append(list(range(pos, pos + k)))
+        pos += k
+
+    for assign in itertools.product(range(1, d + 1), repeat=len(edges)):
+        # tensor components per vertex, with skew sign extension
+        bases = []
+        ok = True
+        for v in range(1, g.n + 1):
+            idx = tuple(assign[p] for p in edge_positions_per_vertex[v - 1])
+            base = xs[v - 1].component(idx)
+            if base.is_zero:
+                ok = False
+                break
+            bases.append(base)
+        if not ok:
+            continue
+        # incoming derivatives on aerial coefficients and boundary slots
+        for v in incoming:
+            incoming[v].clear()
+        bnd = [list(zero_idx) for _ in range(g.nbar)]
+        for (src, tgt), i_e in zip(edges, assign):
+            if is_boundary(tgt):
+                bnd[-tgt - 1][i_e - 1] += 1
+            else:
+                incoming[tgt].append(i_e)
+        coeff = Polynomial.const(d, 1)
+        for v in range(1, g.n + 1):
+            base = bases[v - 1]
+            for i_e in incoming[v]:
+                base = base.partial(i_e)
+                if base.is_zero:
+                    ok = False
+                    break
+            if not ok:
+                break
+            coeff = coeff * base
+        if not ok:
+            continue
+        key = tuple(tuple(b) for b in bnd)
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return MultiDiffOp(d, g.nbar, terms)
+
+
+def _reference_operators(pi, graphs):
+    out = []
+    for g in graphs:
+        op = _b_gamma_reference(g, [pi] * g.n, pi.dim)
+        if not op.is_zero:
+            out.append((g, op))
+    return out
+
+
+def nambu_cubic_bivector():
+    # pi^{ij} = eps^{ijk} d_k C for the cubic Casimir C = x1^3 + x1 x2 x3 - x3^3
+    casimir = P("x1^3 + x1 x2 x3 - x3^3", 3)
+    d1, d2, d3 = (casimir.partial(k) for k in (1, 2, 3))
+    return PolyVector(3, 2, {(1, 2): d3, (1, 3): -d2, (2, 3): d1})
+
+
+STRUCTURES = {
+    "so3": so3_bivector(),
+    "nambu-cubic": nambu_cubic_bivector(),
+    "plane-quadratic": PolyVector(2, 2, {(1, 2): P("x1^2 - 2 x1 x2 + 3/2 x2", 2)}),
+    "const4": PolyVector(
+        4,
+        2,
+        {
+            (1, 2): P("1", 4),
+            (1, 4): P("-2", 4),
+            (2, 3): P("1/2", 4),
+            (3, 4): P("3", 4),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+@pytest.mark.parametrize("n", [1, 2])
+def test_graph_operators_match_reference(name, n):
+    pi = STRUCTURES[name]
+    assert jacobiator(pi).is_zero
+    graphs = enumerate_graphs(n, 2, 2)
+    assert graph_operators(pi, n) == _reference_operators(pi, graphs)
+
+
+def test_order_three_graph_operators_match_reference():
+    # 100 seeded order-3 graphs, 50 on each structure
+    rng = random.Random(3)
+    for pi in (so3_bivector(), STRUCTURES["plane-quadratic"]):
+        ops = dict(graph_operators(pi, 3))
+        for g in rng.sample(enumerate_graphs(3, 2, 2), 50):
+            ref = _b_gamma_reference(g, [pi] * 3, pi.dim)
+            assert ops.get(g, MultiDiffOp.zero(pi.dim, 2)) == ref
+
+
+def test_orbit_sign_law():
+    pi = STRUCTURES["nambu-cubic"]
+    g = AdmissibleGraph(2, 2, ((2, b1), (b1, b2)))
+    op = build_b_gamma(g, [pi, pi])
+    assert not op.is_zero
+    relabelled = AdmissibleGraph(2, 2, ((b1, b2), (1, b1)))
+    assert build_b_gamma(relabelled, [pi, pi]) == op
+    one_swap = AdmissibleGraph(2, 2, ((b1, 2), (b1, b2)))
+    assert build_b_gamma(one_swap, [pi, pi]) == -op
+    two_swaps = AdmissibleGraph(2, 2, ((b1, 2), (b2, b1)))
+    assert build_b_gamma(two_swaps, [pi, pi]) == op
+    rep = orbit_representative(g)[0]
+    for member, sign in [(g, 1), (relabelled, 1), (one_swap, -1), (two_swaps, 1)]:
+        member_op = op if sign > 0 else -op
+        member_rep, rep_sign = orbit_representative(member)
+        assert member_rep == rep
+        assert build_b_gamma(rep, [pi, pi]) == (member_op if rep_sign > 0 else -member_op)
+
+
+def test_build_b_gamma_distinct_tensors_of_mixed_degree():
+    rng = random.Random(41)
+    d = 3
+    g = AdmissibleGraph(3, 2, ((b1, 3, b2), (1,), (2, b2)))
+    for _ in range(3):
+        tri = PolyVector(d, 3, {(1, 2, 3): rand_poly(rng, d, maxdeg=3)})
+        vec = PolyVector(
+            d, 1, {(i,): rand_poly(rng, d, maxdeg=2) for i in (1, 2, 3)}
+        )
+        biv = PolyVector(
+            d, 2, {ij: rand_poly(rng, d) for ij in ((1, 2), (1, 3), (2, 3))}
+        )
+        xs = [tri, vec, biv]
+        assert build_b_gamma(g, xs) == _b_gamma_reference(g, xs, d)
+    f = PolyVector.from_function(P("x1^2 x2 + x3", d))
+    g0 = AdmissibleGraph(2, 2, ((b1, 2), ()))
+    xs = [so3_bivector(), f]
+    assert build_b_gamma(g0, xs) == _b_gamma_reference(g0, xs, d)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from deformq.starprod import (
     moyal_via_wick,
     operator_associator,
     star_apply,
+    weight_intervals,
     wick_pairings,
 )
 from deformq.weights import WeightTable, WeightEstimate
@@ -338,14 +339,15 @@ def test_interval_propagation_with_raw_weights(weight_table):
         )
     pi = so3_bivector()
     xs = [Polynomial.var(3, i) for i in (1, 2, 3)]
-    bounds = associator_weight_intervals(pi, xs[0], xs[1], xs[2], 2, raw)
+    bounds = associator_weight_intervals(weight_intervals(pi, 2, raw), *xs)
     assert intervals_contain_zero(bounds)
 
 
 def test_interval_zero_widths_match_exact_path(weight_table):
     pi = so3_bivector()
     xs = [Polynomial.var(3, i) for i in (1, 2, 3)]
-    bounds = associator_weight_intervals(pi, xs[0], xs[1], xs[2], 2, weight_table)
+    per_order = weight_intervals(pi, 2, weight_table)
+    bounds = associator_weight_intervals(per_order, *xs)
     # all weights snapped: intervals are points at exactly zero
     for coeff in bounds:
         for lo, hi in coeff.values():
