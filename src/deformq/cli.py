@@ -51,9 +51,7 @@ from deformq.weights import (
     WeightTable,
     build_weight_table,
     estimate_and_snap,
-    graph_seed,
     structural_weight,
-    weight_mc,
 )
 
 DEFAULT_CACHE = "weights_cache.json"
@@ -323,10 +321,13 @@ def _check_assoc(args, cfg: RunConfig) -> dict:
         # the triples can miss a defect that acts on second derivatives
         report["pass"] = all(op.is_zero for op in defect)
         return report
-    # mc mode: raw estimates with 3-sigma interval propagation
+    # mc mode: raw estimates, one per orbit, with 3-sigma interval propagation
     table = WeightTable()
+    memo: dict = {}
     for g in star_graphs(cfg.order):
-        est = weight_mc(g, cfg.samples, graph_seed(cfg.seed, canonical_id(g)))
+        est, _ = estimate_and_snap(
+            g, cfg.seed, cfg.max_denominator, cfg.samples, cfg.samples, memo
+        )
         table.put(est, structural_weight(g))
     per_order = weight_intervals(pi, cfg.order, table)
     report["samples"] = cfg.samples

@@ -327,9 +327,9 @@ def insert(phi: MultiDiffOp, i: int, psi: MultiDiffOp) -> MultiDiffOp:
     out_arity = phi.arity + psi.arity - 1
     terms: dict[TermKey, Polynomial] = {}
     for pkey, pcoeff in phi.terms.items():
-        k_slot = pkey[i]
+        splits = list(multiindex_splits(pkey[i], psi.arity + 1))
         for qkey, qcoeff in psi.terms.items():
-            for pieces, mult in multiindex_splits(k_slot, psi.arity + 1):
+            for pieces, mult in splits:
                 dcoeff = qcoeff.partial_multi(pieces[0])
                 if dcoeff.is_zero:
                     continue

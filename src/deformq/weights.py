@@ -51,7 +51,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from deformq.graphs import AdmissibleGraph, canonical_id, is_boundary
+from deformq.graphs import (
+    AdmissibleGraph,
+    boundary,
+    canonical_id,
+    is_boundary,
+    orbit_representative,
+)
 
 TWO_PI = 2.0 * math.pi
 CHUNK = 1 << 16
@@ -210,6 +216,9 @@ def structural_weight(g: AdmissibleGraph) -> Fraction | None:
     A graph whose edge count differs from 2n + nbar - 2 has weight 0, as does
     a graph with a repeated edge (the same 1-form wedged with itself); the
     empty graph integrates the empty wedge over a point and has weight 1.
+    For n >= 1, a boundary vertex that no edge reaches makes the weight 0:
+    the form is pulled back from the configuration space without that
+    boundary point, whose dimension is one less than the form's degree.
     """
     if not g.has_required_edge_count():
         return Fraction(0)
@@ -218,7 +227,25 @@ def structural_weight(g: AdmissibleGraph) -> Fraction | None:
         return Fraction(0)
     if g.n == 0:
         return Fraction(1)
+    targets = {t for _, t in edges}
+    if any(boundary(k) not in targets for k in range(1, g.nbar + 1)):
+        return Fraction(0)
     return None
+
+
+def weight_orbit(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
+    """(rep, sign) with w(g) = sign * w(rep).
+
+    Reordering a star reorders its 1-forms in the wedge, which the sign of
+    orbit_representative counts.  Relabelling the aerial vertices permutes
+    whole stars, which is sign-free only when no two stars have odd size;
+    since a graph with a nonzero weight has an even edge count, that means
+    every star has even size.  A graph with an odd star is its own
+    representative.
+    """
+    if any(len(star) % 2 for star in g.stars):
+        return g, 1
+    return orbit_representative(g)
 
 
 def weight_mc(
@@ -451,25 +478,39 @@ def estimate_and_snap(
     max_denominator: int = 24,
     initial_samples: int = 1_000_000,
     max_samples: int = MAX_SAMPLES,
+    memo: dict | None = None,
 ) -> tuple[WeightEstimate, Fraction | None]:
-    """Estimate with doubling sample counts until snapping is unambiguous.
+    """Estimate with quadrupling sample counts until snapping is unambiguous.
 
-    A graph with a structural_weight returns it directly.  Any other
-    estimate must have a positive spread: snap raises ValueError otherwise.
+    A graph with a structural_weight returns it directly.  Any other graph
+    is estimated through its weight_orbit representative, with the stream
+    key graph_seed(seed, representative id), and the result comes back under
+    g's id with the orbit sign applied to the mean and the snapped value.
+    Callers passing the same `memo` dict (with the same other arguments)
+    estimate each orbit once.  A Monte-Carlo estimate must have a positive
+    spread: snap raises ValueError otherwise.
     """
     gid = canonical_id(g)
-    gseed = graph_seed(seed, gid)
-    samples = initial_samples
-    est = weight_mc(g, samples, gseed)
     exact = structural_weight(g)
     if exact is not None:
-        return est, exact
-    while True:
-        snapped = snap(est, max_denominator)
-        if snapped is not None or samples >= max_samples:
-            return est, snapped
-        samples *= 4
-        est = weight_mc(g, samples, gseed)
+        return weight_mc(g, initial_samples, graph_seed(seed, gid)), exact
+    rep, sign = weight_orbit(g)
+    rid = canonical_id(rep)
+    memo = {} if memo is None else memo
+    if rid not in memo:
+        samples, rseed = initial_samples, graph_seed(seed, rid)
+        while True:
+            est = weight_mc(rep, samples, rseed)
+            snapped = snap(est, max_denominator)
+            if snapped is not None or samples >= max_samples:
+                break
+            samples *= 4
+        memo[rid] = est, snapped
+    est, snapped = memo[rid]
+    return (
+        WeightEstimate(gid, sign * est.mean, est.stderr, est.samples, est.seed),
+        None if snapped is None else sign * snapped,
+    )
 
 
 def build_weight_table(
@@ -480,14 +521,18 @@ def build_weight_table(
     table: WeightTable | None = None,
     max_samples: int = MAX_SAMPLES,
 ) -> WeightTable:
-    """Snapped weights for the given graphs; existing snapped entries are kept."""
+    """Snapped weights for the given graphs; existing snapped entries are kept.
+
+    Each orbit is estimated at most once per call; every requested graph
+    gets its own entry under its labelled id."""
     table = table if table is not None else WeightTable()
+    memo: dict = {}
     for g in graphs:
         gid = canonical_id(g)
         if table.exact(gid) is not None:
             continue
         est, snapped = estimate_and_snap(
-            g, seed, max_denominator, initial_samples, max_samples
+            g, seed, max_denominator, initial_samples, max_samples, memo
         )
         table.put(est, snapped)
     return table

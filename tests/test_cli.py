@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from deformq import cli, starprod
+from deformq import cli, starprod, weights
 from deformq.cli import load_poisson, main, save_poisson
 from deformq.polyalg import Polynomial, PolyVector
 
@@ -278,10 +278,10 @@ def test_order_three_refused_before_any_work(
         raise AssertionError("order 3 must be refused before any work")
 
     for name in (
-        "build_weight_table", "estimate_and_snap", "weight_mc",
-        "kontsevich_star_series",
+        "build_weight_table", "estimate_and_snap", "kontsevich_star_series",
     ):
         monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(weights, "weight_mc", no_work)
     cache = tmp_path / "w.json"
     code = main(
         command
@@ -489,6 +489,29 @@ def test_check_assoc_mc_mode_builds_operators_once_per_order(
     )
     assert code == 0 and out["pass"] is True and out["triples"] == 27
     assert calls == [1, 2]
+
+
+def test_check_assoc_mc_mode_estimates_once_per_orbit(
+    capsys, so3_file, monkeypatch
+):
+    estimated = []
+    real = weights.weight_mc
+
+    def counting(g, samples, seed, *args):
+        if weights.structural_weight(g) is None:
+            estimated.append(g)
+        return real(g, samples, seed, *args)
+
+    monkeypatch.setattr(weights, "weight_mc", counting)
+    code, out = run(
+        capsys,
+        ["check", "assoc", "--pi", so3_file, "--order", "2",
+         "--weights", "mc", "--samples", "10000"],
+    )
+    assert code == 0 and out["pass"] is True
+    # one order-1 orbit and four order-2 orbits, not the 38 labelled graphs
+    assert len(estimated) == 5
+    assert all(weights.weight_orbit(g) == (g, 1) for g in estimated)
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])

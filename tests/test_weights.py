@@ -1,14 +1,18 @@
 import cmath
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from deformq.graphs import AdmissibleGraph, boundary, parse_id
+from deformq import weights
+from deformq.graphs import AdmissibleGraph, boundary, canonical_id, parse_id
+from deformq.starprod import star_graphs
 from deformq.weights import (
     WeightEntry,
     WeightEstimate,
     WeightTable,
+    _raw_integrand,
     angle,
     build_weight_table,
     estimate_and_snap,
@@ -16,6 +20,7 @@ from deformq.weights import (
     snap,
     structural_weight,
     weight_mc,
+    weight_orbit,
 )
 
 b1, b2 = boundary(1), boundary(2)
@@ -335,3 +340,119 @@ def test_weight_entry_json_round_trip():
 def test_snap_wide_band_refused():
     est = WeightEstimate("g", 0.5, 10.0, 1, 1)
     assert snap(est, 24) is None
+
+
+# ---------------------------------------------------------------------------
+# orbits and the unreached-boundary rule
+# ---------------------------------------------------------------------------
+
+CACHE = Path(__file__).parent / ".weight_cache.json"
+NOISE_ZERO_ORBITS = ("2;2;[2,b1],[1,b1]", "2;2;[2,b2],[1,b2]")
+
+
+def _integrand_sizes(ids, seed=2024, count=1000):
+    """|_raw_integrand| of each graph on seeded configurations whose points
+    (two aerial vertices and the pins 0 and 1) stay 0.2 apart."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-2, 2, (4 * count, 2)) + 1j * rng.uniform(0.2, 2, (4 * count, 2))
+    pts = np.concatenate([z, np.zeros((len(z), 1)), np.ones((len(z), 1))], axis=1)
+    gaps = np.abs(pts[:, :, None] - pts[:, None, :]) + 9 * np.eye(4)
+    z = z[gaps.min(axis=(1, 2)) > 0.2][:count]
+    assert len(z) == count
+    return {
+        gid: np.abs(_raw_integrand(parse_id(gid), z.real, z.imag, (0.0, 1.0)))
+        for gid in ids
+    }
+
+
+def test_unreached_boundary_vertex_integrand_vanishes():
+    members = [
+        canonical_id(g) for g in star_graphs(2)
+        if canonical_id(weight_orbit(g)[0]) in NOISE_ZERO_ORBITS
+    ]
+    assert len(members) == 8
+    sizes = _integrand_sizes(members + ["2;2;[2,b1],[1,b2]"])
+    reached = sizes.pop("2;2;[2,b1],[1,b2]")
+    assert reached.max() > 1e-3
+    for gid, vals in sizes.items():
+        assert vals.max() < 1e-9, gid
+
+
+def test_unreached_boundary_vertex_is_structural_zero():
+    for gid in NOISE_ZERO_ORBITS + ("2;2;[b1,2],[b1,1]",):
+        assert structural_weight(parse_id(gid)) == 0
+    for gid in ("1;2;[b1,b2]", "2;2;[2,b1],[1,b2]", "2;2;[b1,b2],[b1,b2]"):
+        assert structural_weight(parse_id(gid)) is None
+
+
+def test_estimate_and_snap_returns_signed_representative_estimate():
+    rep_est, rep_val = estimate_and_snap(WEDGE, 7, initial_samples=200_000)
+    est, val = estimate_and_snap(parse_id("1;2;[b2,b1]"), 7, initial_samples=200_000)
+    assert est.graph == "1;2;[b2,b1]" and rep_est.graph == "1;2;[b1,b2]"
+    assert est.mean == -rep_est.mean
+    assert (est.stderr, est.samples, est.seed) == (
+        rep_est.stderr, rep_est.samples, rep_est.seed,
+    )
+    assert rep_est.seed == graph_seed(7, "1;2;[b1,b2]")
+    assert (rep_val, val) == (Fraction(1, 2), Fraction(-1, 2))
+
+
+def test_odd_stars_are_their_own_orbit():
+    # swapping the aerial labels of a graph with stars of sizes 1 and 3
+    # swaps two odd blocks of rows of the Jacobian: the integrand flips sign
+    import numpy as np
+
+    g = parse_id("2;2;[b1],[1,b1,b2]")
+    relabelled = parse_id("2;2;[2,b1,b2],[b1]")
+    assert weight_orbit(g) == (g, 1)
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-2, 2, (50, 2)), rng.uniform(0.3, 2, (50, 2))
+    got = _raw_integrand(g, a, b, (0.0, 1.0))
+    swapped = _raw_integrand(relabelled, a[:, ::-1], b[:, ::-1], (0.0, 1.0))
+    assert np.abs(got).max() > 1e-3
+    assert np.allclose(got, -swapped, rtol=1e-9, atol=1e-12)
+
+
+def test_committed_table_is_signed_consistent_on_orbits():
+    table = WeightTable.load(CACHE)
+    assert len(table.entries) == 85
+    for gid in table.entries:
+        rep, sign = weight_orbit(parse_id(gid))
+        assert table.exact(gid) == sign * table.exact(canonical_id(rep)), gid
+
+
+def test_build_weight_table_estimates_each_orbit_once(monkeypatch):
+    committed = WeightTable.load(CACHE)
+    estimated = []
+    real = weights.weight_mc
+
+    def stub(g, samples, seed):
+        if structural_weight(g) is not None:
+            return real(g, samples, seed)
+        estimated.append(canonical_id(g))
+        exact = committed.exact(canonical_id(g))
+        return WeightEstimate(canonical_id(g), float(exact), 1e-6, samples, seed)
+
+    monkeypatch.setattr(weights, "weight_mc", stub)
+    table = build_weight_table(star_graphs(2), seed=2024)
+    assert sorted(estimated) == sorted(
+        {canonical_id(weight_orbit(g)[0]) for g in star_graphs(2)
+         if structural_weight(g) is None}
+    )
+    assert len(estimated) == 5
+    assert {gid: e.snapped for gid, e in table.entries.items()} == {
+        gid: e.snapped for gid, e in committed.entries.items()
+    }
+
+
+def test_order_two_table_rederived_from_empty_cache():
+    # the whole order-2 table from scratch: five Monte-Carlo orbits at 1M
+    # samples must reproduce every committed snapped value
+    table = build_weight_table(star_graphs(2), seed=2024)
+    committed = WeightTable.load(CACHE)
+    assert len(table.entries) == 85
+    assert {gid: e.snapped for gid, e in table.entries.items()} == {
+        gid: e.snapped for gid, e in committed.entries.items()
+    }
