@@ -84,6 +84,8 @@ class RunConfig:
             raise UsageError("--samples must be at least 10000")
         if self.weights_mode not in ("table", "mc"):
             raise UsageError("--weights must be 'table' or 'mc'")
+        if self.max_denominator < 1:
+            raise UsageError("--max-denominator must be at least 1")
 
     @property
     def max_samples(self) -> int:
@@ -154,7 +156,7 @@ def _load_table(cfg: RunConfig) -> WeightTable:
     if cfg.cache_path.exists():
         try:
             return WeightTable.load(cfg.cache_path)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise UsageError(
                 f"cannot read weight cache {cfg.cache_path}: {exc}"
             ) from exc
@@ -246,10 +248,12 @@ def cmd_weight(args) -> int:
         g = parse_id(args.graph)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if g.nbar != 2:
+        raise UsageError("weights are defined for graphs with two boundary vertices")
+    table = _load_table(cfg)
     est, snapped = estimate_and_snap(
         g, cfg.seed, cfg.max_denominator, cfg.samples, cfg.max_samples
     )
-    table = _load_table(cfg)
     table.put(est, snapped)
     table.save(cfg.cache_path)
     record = table.get(est.graph).to_json()

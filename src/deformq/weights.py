@@ -14,6 +14,13 @@ normalization: it makes the one-vertex two-edge graph come out at exactly
 coefficient is the Poisson bracket itself; it amounts to a fixed rescaling
 of the formal parameter and so preserves associativity at every order.
 
+The Jacobian is never stored densely.  An edge row has nonzero entries only
+in the columns of its endpoints: 2 for an edge to a boundary point, 4 for an
+edge between aerial vertices.  The determinant is expanded row by row over
+the set of columns used so far, a signed sum over the permutations that
+touch only nonzero entries, memoised by column set.  This holds for any n
+and any star sizes, and it divides by nothing, so no pivot can vanish.
+
 Aerial points are drawn from a defensive mixture proposal and the integrand
 is divided by the exact mixture density, which keeps the estimator unbiased
 while taming every singular region:
@@ -29,7 +36,10 @@ while taming every singular region:
     target near its source the same way (same 1/rho blow-up at collisions).
 
 Offsets landing below the real axis are folded back by mirror reflection,
-which keeps every component density in closed form.  Uniform sampling alone
+which keeps every component density in closed form.  Every sample draws
+the uniforms of every component, so a sample's position in the stream does
+not depend on which component it picked; only the rows that picked the
+heavy component turn its uniforms into points.  Uniform sampling alone
 has a log-divergent second moment at the collision and pin strata and
 settles too slowly to separate neighbouring snap candidates.  Samples are
 generated in fixed-size chunks with independent Philox streams keyed by
@@ -112,39 +122,83 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(index))
 
 
+def _jacobian_rows(
+    g: AdmissibleGraph, a: np.ndarray, b: np.ndarray, boundary_points
+) -> list[dict[int, np.ndarray]]:
+    """The nonzero entries of each row of d phi_e / d aerial coords.
+
+    Rows follow g.edges(); an entry maps a column (2i for a_i, 2i+1 for b_i)
+    to its values over the batch.  An edge to a boundary point has entries
+    only at its source, an edge between aerial vertices at both ends."""
+    rows = []
+    for src, tgt in g.edges():
+        si = src - 1
+        az, bz = a[:, si], b[:, si]
+        if is_boundary(tgt):
+            # target on the real axis: |w - z| = |w - conj z|
+            ux = boundary_points[-tgt - 1] - az
+            inv = 1.0 / (ux * ux + bz * bz)
+            rows.append({2 * si: -2.0 * bz * inv, 2 * si + 1: -2.0 * ux * inv})
+            continue
+        ti = tgt - 1
+        ux = a[:, ti] - az
+        uy = b[:, ti] - bz
+        vy = b[:, ti] + bz
+        ux2 = ux * ux
+        inv_u = 1.0 / (ux2 + uy * uy)
+        inv_v = 1.0 / (ux2 + vy * vy)
+        d_a = uy * inv_u - vy * inv_v
+        rows.append(
+            {
+                2 * si: d_a,
+                2 * si + 1: -ux * (inv_u + inv_v),
+                2 * ti: -d_a,
+                2 * ti + 1: ux * (inv_u - inv_v),
+            }
+        )
+    return rows
+
+
 def _raw_integrand(
     g: AdmissibleGraph, a: np.ndarray, b: np.ndarray, boundary_points
 ) -> np.ndarray:
     """2^n det(d phi_e / d aerial coords) for a batch of configurations.
 
     a, b: arrays of shape (N, n) holding the aerial coordinates.
+
+    The determinant is expanded row by row over the set of columns the rows
+    so far have used: partial[S] is the signed sum, over the assignments of
+    the first k rows to distinct nonzero entries in the columns S, of the
+    products of those entries.  Each row has 2 or 4 nonzero entries, so few
+    column sets occur.
     """
     import numpy as np
 
     n = g.n
-    edges = g.edges()
-    nsamp = a.shape[0]
-    jac = np.zeros((nsamp, len(edges), 2 * n))
-    for row, (src, tgt) in enumerate(edges):
-        si = src - 1
-        az, bz = a[:, si], b[:, si]
-        if is_boundary(tgt):
-            cw = np.full(nsamp, float(boundary_points[-tgt - 1]))
-            dw = np.zeros(nsamp)
-        else:
-            ti = tgt - 1
-            cw, dw = a[:, ti], b[:, ti]
-        ux, uy = cw - az, dw - bz
-        vx, vy = cw - az, dw + bz
-        u2 = ux * ux + uy * uy
-        v2 = vx * vx + vy * vy
-        jac[:, row, 2 * si] = uy / u2 - vy / v2
-        jac[:, row, 2 * si + 1] = -ux / u2 - vx / v2
-        if not is_boundary(tgt):
-            ti = tgt - 1
-            jac[:, row, 2 * ti] += -uy / u2 + vy / v2
-            jac[:, row, 2 * ti + 1] += ux / u2 - vx / v2
-    return (2.0 ** n) * np.linalg.det(jac)
+    partial = {0: np.ones(a.shape[0])}
+    for row in _jacobian_rows(g, a, b, boundary_points):
+        nxt: dict[int, np.ndarray] = {}
+        for used, acc in partial.items():
+            for col, val in row.items():
+                bit = 1 << col
+                if used & bit:
+                    continue
+                term = acc * val
+                # the permutation sign gains one inversion per used column
+                # to the right of col
+                odd = bin(used >> col).count("1") % 2
+                key = used | bit
+                if key not in nxt:
+                    nxt[key] = -term if odd else term
+                elif odd:
+                    nxt[key] -= term
+                else:
+                    nxt[key] += term
+        partial = nxt
+    det = partial.get((1 << (2 * n)) - 1)
+    if det is None:  # some column has no entry on any row
+        return np.zeros(a.shape[0])
+    return (2.0 ** n) * det
 
 
 def _cayley_density(z: np.ndarray) -> np.ndarray:
@@ -154,7 +208,8 @@ def _cayley_density(z: np.ndarray) -> np.ndarray:
     the second-moment boundary; the heavy component below covers the tail."""
     import numpy as np
 
-    return 4.0 / (math.pi * np.abs(z + 1j) ** 4)
+    s = z.real * z.real + (z.imag + 1.0) * (z.imag + 1.0)  # |z + i|^2
+    return 4.0 / (math.pi * (s * s))
 
 
 def _heavy_density(z: np.ndarray) -> np.ndarray:
@@ -163,9 +218,9 @@ def _heavy_density(z: np.ndarray) -> np.ndarray:
     the edge-angle form decays like |z|^-3."""
     import numpy as np
 
-    r1 = np.abs(z - 1j)
-    r2 = np.abs(z + 1j)
-    return (1.0 / (1.0 + r1) ** 3 + 1.0 / (1.0 + r2) ** 3) / math.pi
+    t1 = 1.0 + np.abs(z - 1j)
+    t2 = 1.0 + np.abs(z + 1j)
+    return (1.0 / (t1 * t1 * t1) + 1.0 / (t2 * t2 * t2)) / math.pi
 
 
 def _offset_density(dz: np.ndarray) -> np.ndarray:
@@ -173,7 +228,8 @@ def _offset_density(dz: np.ndarray) -> np.ndarray:
     import numpy as np
 
     rho = np.abs(dz)
-    return 1.0 / (math.pi * rho * (1.0 + rho) ** 3)
+    t = 1.0 + rho
+    return 1.0 / (math.pi * rho * (t * t * t))
 
 
 def _sample_offset_radius(u: np.ndarray) -> np.ndarray:
@@ -181,6 +237,20 @@ def _sample_offset_radius(u: np.ndarray) -> np.ndarray:
     import numpy as np
 
     return 1.0 / np.sqrt(1.0 - u) - 1.0
+
+
+def _cos_sin(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos t and sin t from the half-angle tangent tau = tan(t/2):
+    ((1 - tau^2), 2 tau) / (1 + tau^2), within 3e-16 of np.cos and np.sin.
+
+    numpy vectorises float64 tan on x86-64 but not cos and sin, which made
+    them the costliest step of the samplers."""
+    import numpy as np
+
+    tau = np.tan(0.5 * t)
+    tau2 = tau * tau
+    inv = 1.0 / (1.0 + tau2)
+    return (1.0 - tau2) * inv, 2.0 * tau * inv
 
 
 def _internal_pairs(g: AdmissibleGraph) -> list[tuple[int, int]]:
@@ -193,21 +263,34 @@ def _internal_pairs(g: AdmissibleGraph) -> list[tuple[int, int]]:
 
 
 def _sample_cayley(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """Cayley images i (1 + w)/(1 - w) of uniform disk points w = r e^{i t},
+    in real arithmetic: (-2 r sin t + i (1 - r^2)) / |1 - w|^2."""
     import numpy as np
 
     u = rng.random((size, 2 * n))
-    w = np.sqrt(u[:, 0::2]) * np.exp(1j * (TWO_PI * u[:, 1::2]))
-    return 1j * (1.0 + w) / (1.0 - w)
+    r = np.sqrt(u[:, 0::2])
+    cos_t, sin_t = _cos_sin(TWO_PI * u[:, 1::2])
+    x = 1.0 - r * cos_t
+    y = r * sin_t
+    inv = 1.0 / (x * x + y * y)
+    z = np.empty((size, n), dtype=complex)
+    z.real = -2.0 * y * inv
+    z.imag = (1.0 - u[:, 0::2]) * inv
+    return z
 
 
-def _sample_heavy(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+def _heavy_points(u: np.ndarray) -> np.ndarray:
+    """Heavy-component points from uniforms u of shape (N, 2n), folded into
+    the upper half-plane."""
     import numpy as np
 
-    u = rng.random((size, 2 * n))
     disk_r = np.sqrt(u[:, 0::2])
     radii = disk_r / (1.0 - disk_r)
-    z = 1j + radii * np.exp(1j * (TWO_PI * u[:, 1::2]))
-    return np.where(z.imag <= 0.0, np.conj(z), z)
+    cos_t, sin_t = _cos_sin(TWO_PI * u[:, 1::2])
+    z = np.empty(disk_r.shape, dtype=complex)
+    z.real = radii * cos_t
+    z.imag = np.abs(1.0 + radii * sin_t)
+    return z
 
 
 def structural_weight(g: AdmissibleGraph) -> Fraction | None:
@@ -299,12 +382,17 @@ def weight_mc(
         rng = _chunk_rng(seed, index)
         comp = rng.choice(ncomp, size=size, p=betas)
         z = _sample_cayley(rng, size, n)
-        z_heavy = _sample_heavy(rng, size, n)
+        # every sample draws heavy uniforms, which keeps the stream layout;
+        # only the samples of the heavy component transform them
+        u_heavy = rng.random((size, 2 * n))
         heavy_sel = comp == 1
-        z[heavy_sel] = z_heavy[heavy_sel]
+        z[heavy_sel] = _heavy_points(u_heavy[heavy_sel])
         # planted offsets, folded into the half-plane by mirror reflection
         rho = _sample_offset_radius(rng.random(size))
-        offs = rho * np.exp(1j * (TWO_PI * rng.random(size)))
+        cos_t, sin_t = _cos_sin(TWO_PI * rng.random(size))
+        offs = np.empty(size, dtype=complex)
+        offs.real = rho * cos_t
+        offs.imag = rho * sin_t
         for ci, (i, t) in enumerate(pins, start=pin_base):
             sel = comp == ci
             if not np.any(sel):
@@ -322,26 +410,23 @@ def weight_mc(
         # mixture density at the realized points
         cay_all = _cayley_density(z)
         heavy_all = _heavy_density(z)
-        density = betas[0] * np.prod(cay_all, axis=1) + betas[1] * np.prod(
-            heavy_all, axis=1
+        density = betas[0] * math.prod(cay_all.T) + betas[1] * math.prod(
+            heavy_all.T
         )
+        # others[k]: product of the Cayley densities of every vertex but k
+        others = [
+            math.prod(c for m, c in enumerate(cay_all.T) if m != k)
+            for k in range(n)
+        ]
         for ci, (i, t) in enumerate(pins, start=pin_base):
-            others = np.ones(size)
-            for k in range(n):
-                if k != i:
-                    others = others * cay_all[:, k]
-            dz = z[:, i] - t
-            qd = _offset_density(dz) + _offset_density(np.conj(dz))
-            density = density + betas[ci] * others * qd
+            # the mirror image of z - t about the axis has the same modulus
+            qd = 2.0 * _offset_density(z[:, i] - t)
+            density = density + betas[ci] * others[i] * qd
         for ci, (i, j) in enumerate(pairs, start=pair_base):
-            others = np.ones(size)
-            for k in range(n):
-                if k != j:
-                    others = others * cay_all[:, k]
             dz = z[:, j] - z[:, i]
             dz_mirror = np.conj(z[:, j]) - z[:, i]
             qd = _offset_density(dz) + _offset_density(dz_mirror)
-            density = density + betas[ci] * others * qd
+            density = density + betas[ci] * others[j] * qd
         # exact float coincidences (vertex on vertex or on a pin) occur with
         # probability ~0 and make the integrand singular; drop those samples
         coincide = np.zeros(size, dtype=bool)
@@ -381,6 +466,8 @@ def weight_mc(
 def snap(est: WeightEstimate, max_denominator: int) -> Fraction | None:
     """The unique rational p/q, q <= max_denominator, within 3 stderr of the
     mean, or None when zero or several candidates lie in the band."""
+    if max_denominator < 1:
+        raise ValueError("snap requires max_denominator >= 1")
     if est.stderr <= 0:
         raise ValueError("snap requires a positive stderr")
     lo = est.mean - 3.0 * est.stderr

@@ -139,6 +139,42 @@ def test_weight_malformed_id(capsys, tmp_path):
     assert code == 2
 
 
+def _forbid_monte_carlo(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the request must be refused before Monte Carlo")
+
+    monkeypatch.setattr(weights, "weight_mc", no_work)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_denominator_below_one_refused_before_any_work(
+    monkeypatch, capsys, tmp_path, value
+):
+    # no rational has a denominator below 1, so snapping could never succeed
+    # and table mode would escalate to MAX_SAMPLES
+    _forbid_monte_carlo(monkeypatch)
+    cache = tmp_path / "w.json"
+    code = main(
+        ["weight", "--graph", "1;2;[b1,b2]", "--samples", "10000",
+         "--max-denominator", value, "--cache", str(cache)]
+    )
+    assert code == 2
+    assert "--max-denominator" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+def test_weight_needs_two_boundary_vertices(monkeypatch, capsys, tmp_path):
+    _forbid_monte_carlo(monkeypatch)
+    cache = tmp_path / "w.json"
+    code = main(
+        ["weight", "--graph", "1;3;[b1,b2,b3]", "--samples", "10000",
+         "--cache", str(cache)]
+    )
+    assert code == 2
+    assert "two boundary vertices" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 # ---------------------------------------------------------------------------
 # moyal and star
 # ---------------------------------------------------------------------------
@@ -437,6 +473,24 @@ def test_corrupt_cache_is_usage_error(tmp_path):
          "--cache", str(bad)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["json-list", "directory"])
+def test_unreadable_cache_is_usage_error_before_monte_carlo(
+    monkeypatch, capsys, tmp_path, kind
+):
+    bad = tmp_path / "cache"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_text("[]\n")
+    _forbid_monte_carlo(monkeypatch)
+    code = main(
+        ["weight", "--graph", "1;2;[b1,b2]", "--samples", "10000",
+         "--cache", str(bad)]
+    )
+    assert code == 2
+    assert "cannot read weight cache" in capsys.readouterr().err
 
 
 def test_star_warns_on_non_poisson(capsys, tmp_path, weight_cache_path):
