@@ -35,16 +35,17 @@ from deformq.polyalg import (
 )
 from deformq.starprod import (
     MissingWeightError,
-    associator_weight_intervals,
-    intervals_contain_zero,
+    associator_bound,
+    band_weights,
+    class_rows,
+    contains_zero,
     kontsevich_star_series,
     lift,
     moyal,
     moyal_via_wick,
-    operator_associator,
+    point_weights,
     star_apply,
     star_graphs,
-    weight_intervals,
 )
 from deformq.weights import (
     MAX_SAMPLES,
@@ -131,7 +132,7 @@ def load_poisson(path: str) -> PolyVector:
                 raise ValueError(f"component key {key!r} must satisfy 1 <= i < j <= dim")
             comps[(i, j)] = parse_polynomial(text, dim)
         return PolyVector(dim, 2, comps)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed poisson file {path}: {exc}") from exc
 
 
@@ -160,6 +161,11 @@ def _load_table(cfg: RunConfig) -> WeightTable:
             raise UsageError(
                 f"cannot read weight cache {cfg.cache_path}: {exc}"
             ) from exc
+    if not cfg.cache_path.parent.is_dir():
+        # refused now: the save after the estimates would fail
+        raise UsageError(
+            f"weight cache directory {cfg.cache_path.parent} does not exist"
+        )
     return WeightTable()
 
 
@@ -315,31 +321,32 @@ def _check_assoc(args, cfg: RunConfig) -> dict:
         "triples": len(triples),
     }
     if cfg.weights_mode == "table":
-        table = _snapped_table(cfg, cfg.order)
-        series = _star_series(pi, cfg.order, table)
-        defect = operator_associator(series)
-        report["failures"] = sum(
-            any(not apply_op(op, list(fgh)).is_zero for op in defect)
-            for fgh in triples
-        )
-        # the triples can miss a defect that acts on second derivatives
-        report["pass"] = all(op.is_zero for op in defect)
-        return report
-    # mc mode: raw estimates, one per orbit, with 3-sigma interval propagation
-    table = WeightTable()
-    memo: dict = {}
-    for g in star_graphs(cfg.order):
-        est, _ = estimate_and_snap(
-            g, cfg.seed, cfg.max_denominator, cfg.samples, cfg.samples, memo
-        )
-        table.put(est, structural_weight(g))
-    per_order = weight_intervals(pi, cfg.order, table)
-    report["samples"] = cfg.samples
+        weight = point_weights(_snapped_table(cfg, cfg.order))
+    else:
+        # raw estimates, one per orbit, each within its 3-sigma band
+        table = WeightTable()
+        memo: dict = {}
+        for g in star_graphs(cfg.order):
+            est, _ = estimate_and_snap(
+                g, cfg.seed, cfg.max_denominator, cfg.samples, cfg.samples, memo
+            )
+            table.put(est, structural_weight(g))
+        weight = band_weights(table)
+        report["samples"] = cfg.samples
+    bound = associator_bound(
+        [class_rows(pi, n, weight) for n in range(cfg.order + 1)]
+    )
+    # apply_op on coordinates is a nonnegative linear map of the coefficients,
+    # so a triple whose applied bound excludes 0 has a nonzero defect
     report["failures"] = sum(
-        not intervals_contain_zero(associator_weight_intervals(per_order, *fgh))
+        not all(
+            contains_zero(apply_op(c, list(fgh)), apply_op(r, list(fgh)))
+            for c, r in bound
+        )
         for fgh in triples
     )
-    report["pass"] = report["failures"] == 0
+    # the triples can miss a defect that acts on second derivatives
+    report["pass"] = all(contains_zero(c, r) for c, r in bound)
     return report
 
 

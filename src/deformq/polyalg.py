@@ -308,7 +308,7 @@ def truncated_product(
     factors[m][i] is the h^i coefficient of the m-th factor.  The h^r
     coefficient is zero plus term(factors[0][i_0], ..., factors[-1][i_last])
     summed over every index tuple with i_0 + ... + i_last = r, taken in
-    lexicographic order, so a float or list-valued term sums in a fixed order.
+    lexicographic order, so a list-valued term sums in a fixed order.
     """
     out = []
     for r in range(order + 1):

@@ -10,9 +10,9 @@ convention through the weight normalization (wedge graph weight +1/2).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -108,18 +108,74 @@ def associator(
     return left.sub(right)
 
 
+# A weight known to lie in center +- radius, both exact; radius 0 is a point.
+Interval = tuple[Fraction, Fraction]
+_UNIT: Interval = (Fraction(1), Fraction(0))
+
+
+def _abs_op(op: MultiDiffOp) -> MultiDiffOp:
+    """op with every scalar coefficient replaced by its absolute value."""
+    return MultiDiffOp(
+        op.dim,
+        op.arity,
+        {
+            key: Polynomial._trusted(op.dim, {e: abs(c) for e, c in p.terms.items()})
+            for key, p in op.terms.items()
+        },
+    )
+
+
+def associator_bound(
+    rows: Sequence[Sequence[tuple[Interval, MultiDiffOp]]],
+) -> list[tuple[MultiDiffOp, MultiDiffOp]]:
+    """(C_r, R_r) for r = 0..len(rows)-1: every coefficient of the h^r
+    associator (f*g)*h - f*(g*h) lies within C_r +- R_r, coefficient by
+    coefficient, for every choice of the weights within their intervals.
+
+    rows[n] lists (weight, op) pairs whose weighted sum is the h^n star
+    coefficient.  The h^r defect is bilinear in the weights:
+    sum_{i+j=r} sum_{a in rows[i], b in rows[j]} w_a w_b D(op_a, op_b) with
+    D(x, y) = insert(x, 0, y) - insert(x, 1, y).  Each product w_a w_b is
+    enclosed in center-radius form; its radius multiplies |D|, so R_r is a
+    nonnegative operator and point weights add nothing to it."""
+    dim = rows[0][0][1].dim
+
+    def pair_terms(row_a, row_b):
+        out = []
+        for (ca, ra), a in row_a:
+            for (cb, rb), b in row_b:
+                radius = abs(ca) * rb + abs(cb) * ra + ra * rb
+                out.append((ca * cb, radius, insert(a, 0, b) - insert(a, 1, b)))
+        return out
+
+    return [
+        (
+            linear_combination(((c, d) for c, _, d in terms), dim, 3),
+            linear_combination(((r, _abs_op(d)) for _, r, d in terms if r), dim, 3),
+        )
+        for terms in truncated_product((rows, rows), len(rows) - 1, pair_terms, [])
+    ]
+
+
+def contains_zero(center, radius) -> bool:
+    """|center| <= radius in every scalar coefficient, for two polynomials
+    or two operators of one arity: the bound center +- radius admits 0."""
+
+    def coefficients(x) -> dict:
+        if isinstance(x, Polynomial):
+            return x.terms
+        return {(k, e): c for k, p in x.terms.items() for e, c in p.terms.items()}
+
+    rad = coefficients(radius)
+    return all(abs(c) <= rad.get(k, 0) for k, c in coefficients(center).items())
+
+
 def operator_associator(star: StarSeries) -> tuple[MultiDiffOp, ...]:
     """The h^r coefficients of (f*g)*h - f*(g*h) as tridifferential
     operators, sum_{i+j=r} B_i(B_j(.,.),.) - B_i(.,B_j(.,.)) for r = 0..order;
     all vanish iff the series is associative for every argument triple."""
-    return tuple(
-        truncated_product(
-            (star.ops, star.ops),
-            star.order,
-            lambda a, b: insert(a, 0, b) - insert(a, 1, b),
-            MultiDiffOp.zero(star.dim, 3),
-        )
-    )
+    rows = [[(_UNIT, op)] for op in star.ops]
+    return tuple(center for center, _ in associator_bound(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +290,75 @@ def graph_operators(
     return out
 
 
+def point_weights(table: WeightTable) -> Callable[[str], Interval | None]:
+    """Each graph's snapped weight as a point; None where it has none."""
+
+    def weight(gid: str) -> Interval | None:
+        w = table.exact(gid)
+        return None if w is None else (w, Fraction(0))
+
+    return weight
+
+
+def band_weights(table: WeightTable) -> Callable[[str], Interval | None]:
+    """Snapped entries as points, the others as their 3-sigma band
+    mean +- 3 stderr, converted to Fractions exactly; None where a graph has
+    no entry."""
+
+    def weight(gid: str) -> Interval | None:
+        entry = table.get(gid)
+        if entry is None:
+            return None
+        if entry.snapped is not None:
+            return (entry.snapped, Fraction(0))
+        return (Fraction(entry.mean), 3 * Fraction(entry.stderr))
+
+    return weight
+
+
+def class_rows(
+    pi: PolyVector, n: int, weight: Callable[[str], Interval | None]
+) -> list[tuple[Interval, MultiDiffOp]]:
+    """The h^n star coefficient as rows (W_c, B_c / n!), one per orbit c of
+    graph_operators(pi, n) under orbit_representative; a class whose W_c is
+    the point 0 is left out.
+
+    B_c is the representative's operator and W_c = sum_{g in c} sign_g *
+    weight(id of g) reads every member's own entry, so an inconsistent table
+    is assembled as it stands.  Members without a weight raise
+    MissingWeightError naming each of them.  Order 0 is the multiplication
+    with weight 1.
+    """
+    if n == 0:
+        return [(_UNIT, MultiDiffOp.multiplication(pi.dim))]
+    classes: dict[AdmissibleGraph, list] = {}
+    missing = []
+    for g, op in graph_operators(pi, n):
+        gid = canonical_id(g)
+        w = weight(gid)
+        if w is None:
+            missing.append(gid)
+            continue
+        rep, sign = orbit_representative(g)
+        if rep not in classes:
+            classes[rep] = [0, 0, op if sign > 0 else -op]
+        row = classes[rep]
+        row[0] += sign * w[0]
+        row[1] += w[1]
+    if missing:
+        raise MissingWeightError(
+            f"no snapped weight for graphs: {', '.join(missing)}"
+        )
+    scale = Fraction(1, factorial(n))
+    return [((c, r), op.scale(scale)) for c, r, op in classes.values() if c or r]
+
+
 def kontsevich_star_series(
     pi: PolyVector, order: int, table: WeightTable
 ) -> StarSeries:
     """Exact star series from snapped weights: the h^n operator is
-    (1/n!) sum_Gamma w_Gamma B_Gamma over the 2n-edge graphs of order n.
+    (1/n!) sum_Gamma w_Gamma B_Gamma over the 2n-edge graphs of order n,
+    summed over the class_rows of each order.
 
     Graphs whose operator vanishes identically (parallel edges) never need a
     weight.  A contributing graph without a snapped weight raises
@@ -252,24 +372,13 @@ def kontsevich_star_series(
             "associative",
             stacklevel=2,
         )
-    d = pi.dim
-    ops = [MultiDiffOp.multiplication(d)]
-    for n in range(1, order + 1):
-        pairs = []
-        missing = []
-        for g, op in graph_operators(pi, n):
-            gid = canonical_id(g)
-            w = table.exact(gid)
-            if w is None:
-                missing.append(gid)
-                continue
-            if w != 0:
-                pairs.append((w / factorial(n), op))
-        if missing:
-            raise MissingWeightError(
-                f"no snapped weight for graphs: {', '.join(missing)}"
-            )
-        ops.append(linear_combination(pairs, d, 2))
+    weight = point_weights(table)
+    ops = [
+        linear_combination(
+            ((c, op) for (c, _), op in class_rows(pi, n, weight)), pi.dim, 2
+        )
+        for n in range(order + 1)
+    ]
     return StarSeries(order, tuple(ops))
 
 
@@ -489,122 +598,3 @@ def moyal_via_wick(
                             weight * norm
                         )
     return FormalSeries(order, tuple(coeffs))
-
-
-# ---------------------------------------------------------------------------
-# interval propagation for raw Monte-Carlo weights
-# ---------------------------------------------------------------------------
-
-Interval = tuple[float, float]
-
-
-def _iadd(a: Interval, b: Interval) -> Interval:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _imul(a: Interval, b: Interval) -> Interval:
-    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(prods), max(prods))
-
-
-IntervalPoly = dict[tuple, Interval]
-
-
-def _ipoly_from(p: Polynomial) -> IntervalPoly:
-    return {k: (float(c), float(c)) for k, c in p.terms.items()}
-
-
-def _ipoly_add(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
-    out = dict(a)
-    for k, iv in b.items():
-        out[k] = _iadd(out[k], iv) if k in out else iv
-    return out
-
-
-def _ipoly_scale_poly(p: Polynomial, iv: Interval) -> IntervalPoly:
-    return {k: _imul(iv, (float(c), float(c))) for k, c in p.terms.items()}
-
-
-def weight_intervals(
-    pi: PolyVector, order: int, table: WeightTable
-) -> list[list[tuple[MultiDiffOp, Interval]]]:
-    """Per order n: the nonzero h^n operators with their weight 3-sigma
-    intervals (snapped entries become exact points); order 0 is the
-    pointwise multiplication with weight exactly 1."""
-    per_order = [[(MultiDiffOp.multiplication(pi.dim), (1.0, 1.0))]]
-    for n in range(1, order + 1):
-        row = []
-        for g, op in graph_operators(pi, n):
-            entry = table.get(canonical_id(g))
-            if entry is None:
-                raise MissingWeightError(f"no weight entry for {canonical_id(g)}")
-            if entry.snapped is not None:
-                w = float(entry.snapped)
-                iv = (w, w)
-            else:
-                iv = (
-                    entry.mean - 3.0 * entry.stderr,
-                    entry.mean + 3.0 * entry.stderr,
-                )
-            row.append((op.scale(Fraction(1, factorial(n))), iv))
-        per_order.append(row)
-    return per_order
-
-
-def _istar_apply(
-    per_order, dim: int, a: list[IntervalPoly], b: list[IntervalPoly]
-) -> list[IntervalPoly]:
-    """Interval star product of two interval series (index = h order).
-
-    Each term returns its contributions as a list and the lists are summed
-    afterwards, one contribution at a time, which fixes the float summation
-    order."""
-
-    def term(ca: IntervalPoly, cb: IntervalPoly, row) -> list[IntervalPoly]:
-        parts = []
-        for mono_a, iva in ca.items():
-            pa = Polynomial(dim, {mono_a: Fraction(1)})
-            for mono_b, ivb in cb.items():
-                pb = Polynomial(dim, {mono_b: Fraction(1)})
-                scale = _imul(iva, ivb)
-                for op, wiv in row:
-                    val = apply_op(op, [pa, pb])
-                    if not val.is_zero:
-                        parts.append(_ipoly_scale_poly(val, _imul(scale, wiv)))
-        return parts
-
-    sums = truncated_product((a, b, per_order), len(a) - 1, term, [])
-    return [functools.reduce(_ipoly_add, parts, {}) for parts in sums]
-
-
-def associator_weight_intervals(
-    per_order: list[list[tuple[MultiDiffOp, Interval]]],
-    f: Polynomial,
-    g: Polynomial,
-    h: Polynomial,
-) -> list[IntervalPoly]:
-    """Interval bounds on every associator coefficient when weights carry
-    Monte-Carlo spread: per_order comes from weight_intervals, where each
-    unsnapped weight enters as mean +- 3 stderr, and the bounds propagate by
-    interval arithmetic (outer bounds; dependency between repeated weights
-    is ignored, widening the result)."""
-    order = len(per_order) - 1
-    dim = f.dim
-
-    def lift_ip(p: Polynomial) -> list[IntervalPoly]:
-        return [_ipoly_from(p)] + [dict() for _ in range(order)]
-
-    fa, ga, ha = lift_ip(f), lift_ip(g), lift_ip(h)
-    left = _istar_apply(per_order, dim, _istar_apply(per_order, dim, fa, ga), ha)
-    right = _istar_apply(per_order, dim, fa, _istar_apply(per_order, dim, ga, ha))
-    minus_one = (-1.0, -1.0)
-    return [
-        _ipoly_add(lc, {k: _imul(iv, minus_one) for k, iv in rc.items()})
-        for lc, rc in zip(left, right)
-    ]
-
-
-def intervals_contain_zero(series: list[IntervalPoly]) -> bool:
-    return all(
-        iv[0] <= 0.0 <= iv[1] for coeff in series for iv in coeff.values()
-    )

@@ -30,6 +30,7 @@ from deformq.linsymp import (
 )
 from deformq.operators import (
     MultiDiffOp,
+    apply_op,
     gerstenhaber_bracket,
     hkr,
     hochschild_d,
@@ -44,17 +45,18 @@ from deformq.polyalg import (
 from deformq.starprod import (
     GaugeOperator,
     associator,
-    associator_weight_intervals,
+    associator_bound,
+    band_weights,
+    class_rows,
+    contains_zero,
     first_order_antisym,
     gauge_inverse,
     gauge_transform,
-    intervals_contain_zero,
     kontsevich_star,
     kontsevich_star_series,
     moyal,
     moyal_series,
     moyal_via_wick,
-    weight_intervals,
 )
 from deformq.weights import WeightEstimate, WeightTable, weight_mc
 
@@ -216,21 +218,23 @@ def test_criterion_6_order_two_associativity(weight_table):
     for f, g, h in itertools.product(xs, repeat=3):
         defect = associator(series, f, g, h, 2)
         assert all(c.is_zero for c in defect.coeffs)
-    # raw Monte-Carlo weights: 3-sigma interval propagation covers zero
+    # raw Monte-Carlo weights: the 3-sigma associator bound admits zero
     raw = WeightTable()
     for gid, e in weight_table.entries.items():
         raw.put(
             WeightEstimate(gid, e.mean, e.stderr, e.samples, e.seed),
             None if e.stderr > 0 else e.snapped,
         )
-    per_order = weight_intervals(pi, 2, raw)
-    for f, g, h in [(xs[0], xs[1], xs[2]), (xs[1], xs[1], xs[2]), (xs[2], xs[0], xs[2])]:
-        bounds = associator_weight_intervals(per_order, f, g, h)
-        assert intervals_contain_zero(bounds)
+    bound = associator_bound(
+        [class_rows(pi, n, band_weights(raw)) for n in range(3)]
+    )
+    for fgh in [(xs[0], xs[1], xs[2]), (xs[1], xs[1], xs[2]), (xs[2], xs[0], xs[2])]:
+        for center, radius in bound:
+            assert contains_zero(apply_op(center, fgh), apply_op(radius, fgh))
     report(
         6,
         "so(3) order-2 associator exactly zero on all 27 coordinate triples; "
-        "raw-weight 3-sigma intervals cover zero",
+        "raw-weight 3-sigma bound admits zero",
     )
 
 

@@ -401,6 +401,27 @@ def test_check_assoc_certifies_operator_identity(
     assert out["failures"] == 0 and out["triples"] == 27
 
 
+def test_check_assoc_reads_each_members_own_weight(
+    capsys, so3_file, weight_cache_path, tmp_path
+):
+    # a member whose entry disagrees with its orbit representative: the
+    # certificate checks the series `star` assembles from every member's own
+    # entry, which is not associative
+    entries = json.loads(Path(weight_cache_path).read_text())
+    member, rep = "2;2;[2,b1],[b2,b1]", "2;2;[2,b1],[b1,b2]"
+    assert entries[member]["snapped"] == "1/12"
+    assert entries[rep]["snapped"] == "-1/12"
+    entries[member]["snapped"] = "0"
+    cache = tmp_path / "member.json"
+    cache.write_text(json.dumps(entries))
+    code, out = run(
+        capsys,
+        ["check", "assoc", "--pi", so3_file, "--order", "2", "--cache", str(cache)],
+    )
+    assert code == 1
+    assert out["pass"] is False
+
+
 def test_assoc_alias(capsys, so3_file, cache_arg):
     code, out = run(
         capsys,
@@ -442,6 +463,24 @@ def test_poisson_rejects_bad_component_keys(tmp_path):
     path.write_text(json.dumps({"dim": 2, "components": {"2,1": "x1"}}))
     with pytest.raises(Exception):
         load_poisson(str(path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"dim": null}',
+        '{"dim": 3, "components": ["x"]}',
+        '{"dim": 3, "components": {"1,2": 5}}',
+    ],
+    ids=["list", "null-dim", "component-list", "number-component"],
+)
+def test_poisson_file_of_wrong_shape_is_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "pi.json"
+    path.write_text(text)
+    code = main(["check", "jacobi", "--pi", str(path)])
+    assert code == 2
+    assert "malformed poisson file" in capsys.readouterr().err
 
 
 def test_env_cache_override(capsys, tmp_path, monkeypatch):
@@ -491,6 +530,25 @@ def test_unreadable_cache_is_usage_error_before_monte_carlo(
     )
     assert code == 2
     assert "cannot read weight cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["weight", "--graph", "1;2;[b1,b1]"],
+     ["star", "--f", "x1", "--g", "x2"],
+     ["check", "assoc"]],
+    ids=["weight", "star", "check-assoc"],
+)
+def test_cache_in_missing_directory_is_usage_error_before_monte_carlo(
+    monkeypatch, capsys, tmp_path, so3_file, command
+):
+    _forbid_monte_carlo(monkeypatch)
+    cache = tmp_path / "missing" / "w.json"
+    pi = [] if command[0] == "weight" else ["--pi", so3_file]
+    code = main(command + pi + ["--samples", "10000", "--cache", str(cache)])
+    assert code == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert not cache.parent.exists()
 
 
 def test_star_warns_on_non_poisson(capsys, tmp_path, weight_cache_path):
@@ -566,6 +624,27 @@ def test_check_assoc_mc_mode_estimates_once_per_orbit(
     # one order-1 orbit and four order-2 orbits, not the 38 labelled graphs
     assert len(estimated) == 5
     assert all(weights.weight_orbit(g) == (g, 1) for g in estimated)
+
+
+def test_check_assoc_mc_mode_rejects_non_poisson(capsys, tmp_path):
+    bad = PolyVector(
+        3,
+        2,
+        {
+            (1, 2): Polynomial.var(3, 1),
+            (1, 3): Polynomial.var(3, 3),
+            (2, 3): Polynomial.var(3, 2),
+        },
+    )
+    path = tmp_path / "bad.json"
+    save_poisson(bad, path)
+    code, out = run(
+        capsys,
+        ["check", "assoc", "--pi", str(path), "--order", "2",
+         "--weights", "mc", "--samples", "10000", "--seed", "2024"],
+    )
+    assert code == 1
+    assert out["mode"] == "mc" and out["pass"] is False
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])

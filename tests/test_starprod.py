@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from deformq.graphs import parse_id
-from deformq.operators import MultiDiffOp, apply_op
+from deformq.operators import MultiDiffOp, apply_op, linear_combination
 from deformq.polyalg import (
     FormalSeries,
     Polynomial,
@@ -18,11 +18,13 @@ from deformq.starprod import (
     MissingWeightError,
     StarSeries,
     associator,
-    associator_weight_intervals,
+    associator_bound,
+    band_weights,
+    class_rows,
+    contains_zero,
     first_order_antisym,
     gauge_inverse,
     gauge_transform,
-    intervals_contain_zero,
     kontsevich_star,
     kontsevich_star_series,
     lift,
@@ -30,8 +32,8 @@ from deformq.starprod import (
     moyal_series,
     moyal_via_wick,
     operator_associator,
+    point_weights,
     star_apply,
-    weight_intervals,
     wick_pairings,
 )
 from deformq.weights import WeightTable, WeightEstimate
@@ -328,9 +330,13 @@ def test_kontsevich_warns_on_non_poisson():
             kontsevich_star_series(bad, 1, table)
 
 
+def _bound(pi, order, weight):
+    return associator_bound([class_rows(pi, n, weight) for n in range(order + 1)])
+
+
 def test_interval_propagation_with_raw_weights(weight_table):
     # strip the snaps: every weight becomes its 3-sigma band; the associator
-    # intervals must still cover zero
+    # bound must still admit zero, on (x1, x2, x3) and as an operator identity
     raw = WeightTable()
     for gid, e in weight_table.entries.items():
         raw.put(
@@ -339,19 +345,65 @@ def test_interval_propagation_with_raw_weights(weight_table):
         )
     pi = so3_bivector()
     xs = [Polynomial.var(3, i) for i in (1, 2, 3)]
-    bounds = associator_weight_intervals(weight_intervals(pi, 2, raw), *xs)
-    assert intervals_contain_zero(bounds)
+    bound = _bound(pi, 2, band_weights(raw))
+    assert any(not radius.is_zero for _, radius in bound)
+    for center, radius in bound:
+        assert contains_zero(apply_op(center, xs), apply_op(radius, xs))
+        assert contains_zero(center, radius)
+
+
+def test_associator_bound_encloses_every_weight_choice(weight_table):
+    # widen each so(3) class weight w to w +- |w| (the multiplication stays
+    # a point); the defect of the series built from any choice of weights in
+    # those intervals lies within C +- R
+    pi = so3_bivector()
+    rows = [
+        [((w, abs(w) if n else r), op) for (w, r), op in class_rows(pi, n, weights)]
+        for n, weights in enumerate([point_weights(weight_table)] * 3)
+    ]
+    bound = associator_bound(rows)
+    rng = random.Random(61)
+    for corner in [-1, 1] + [None] * 6:
+        ops = []
+        for row in rows:
+            sides = [corner or rng.choice([-1, 0, 1]) for _ in row]
+            pairs = [(w + s * r, op) for s, ((w, r), op) in zip(sides, row)]
+            ops.append(linear_combination(pairs, 3, 2))
+        defect = operator_associator(StarSeries(2, tuple(ops)))
+        for (center, radius), d in zip(bound, defect):
+            assert contains_zero(d - center, radius)
+
+
+def _nambu_bivector():
+    # pi^{ij} = eps^{ijk} d_k C is Poisson for every Casimir C
+    casimir = P("x1^2 x2 - 2 x2 x3 + 1/2 x3^3", 3)
+    d = [casimir.partial(k) for k in (1, 2, 3)]
+    return PolyVector(3, 2, {(1, 2): d[2], (1, 3): -d[1], (2, 3): d[0]})
 
 
 def test_interval_zero_widths_match_exact_path(weight_table):
-    pi = so3_bivector()
-    xs = [Polynomial.var(3, i) for i in (1, 2, 3)]
-    per_order = weight_intervals(pi, 2, weight_table)
-    bounds = associator_weight_intervals(per_order, *xs)
-    # all weights snapped: intervals are points at exactly zero
-    for coeff in bounds:
-        for lo, hi in coeff.values():
-            assert lo == hi == 0.0
+    # all weights snapped: the radius vanishes and the center is the exact
+    # operator defect of the assembled series, zero for a Poisson structure
+    structures = [
+        so3_bivector(),
+        _nambu_bivector(),
+        PolyVector(2, 2, {(1, 2): P("x1^2 - 3 x1 x2 + x2", 2)}),
+        rand_const_bivector(random.Random(7), 4),
+    ]
+    for pi in structures:
+        bound = _bound(pi, 2, point_weights(weight_table))
+        exact = operator_associator(kontsevich_star_series(pi, 2, weight_table))
+        assert len(bound) == len(exact) == 3
+        for (center, radius), defect in zip(bound, exact):
+            assert radius.is_zero
+            assert center == defect
+            assert center.is_zero
+
+
+def test_class_rows_name_every_missing_graph():
+    with pytest.raises(MissingWeightError) as info:
+        class_rows(so3_bivector(), 1, point_weights(WeightTable()))
+    assert "1;2;[b1,b2]" in str(info.value) and "1;2;[b2,b1]" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
