@@ -1,117 +1,92 @@
 """Deformation quantization engine: exact star products on polynomial
 Poisson structures, Kontsevich graph weights by Monte-Carlo integration,
-and the algebraic identity suites tying them together."""
+and the algebraic identity suites tying them together.
 
-from deformq.graphs import (
-    AdmissibleGraph,
-    boundary,
-    canonical_id,
-    enumerate_graphs,
-    is_admissible,
-    parse_id,
-)
-from deformq.linsymp import (
-    LinearDirac,
-    SkewForm,
-    Subspace,
-    classify_subspace,
-    dirac_from_pair,
-    dirac_to_pair,
-    restrict_dirac,
-    standard_form,
-    symplectic_orthogonal,
-)
-from deformq.operators import (
-    MultiDiffOp,
-    apply_op,
-    build_b_gamma,
-    compose_gerstenhaber,
-    gerstenhaber_bracket,
-    hkr,
-    hochschild_d,
-)
-from deformq.polyalg import (
-    FormalSeries,
-    Polynomial,
-    PolyVector,
-    format_polynomial,
-    jacobiator,
-    parse_polynomial,
-    poisson_bracket,
-    schouten,
-)
-from deformq.starprod import (
-    GaugeOperator,
-    StarSeries,
-    associator,
-    first_order_antisym,
-    gauge_inverse,
-    gauge_transform,
-    kontsevich_star,
-    kontsevich_star_series,
-    moyal,
-    moyal_series,
-    moyal_via_wick,
-    operator_associator,
-    wick_pairings,
-)
-from deformq.weights import (
-    WeightEstimate,
-    WeightTable,
-    angle,
-    build_weight_table,
-    snap,
-    weight_mc,
-)
+The package namespace is lazy (PEP 562): `from deformq import name` imports
+only the submodule that defines `name`, on first use.  Importing
+`deformq.cli` or any other submodule therefore loads neither the unused
+submodules (`linsymp`) nor numpy, which only the Monte-Carlo weight code
+needs.
+"""
 
-__all__ = [
-    "AdmissibleGraph",
-    "FormalSeries",
-    "GaugeOperator",
-    "LinearDirac",
-    "MultiDiffOp",
-    "Polynomial",
-    "PolyVector",
-    "SkewForm",
-    "StarSeries",
-    "Subspace",
-    "WeightEstimate",
-    "WeightTable",
-    "angle",
-    "apply_op",
-    "associator",
-    "boundary",
-    "build_b_gamma",
-    "build_weight_table",
-    "canonical_id",
-    "classify_subspace",
-    "compose_gerstenhaber",
-    "dirac_from_pair",
-    "dirac_to_pair",
-    "enumerate_graphs",
-    "first_order_antisym",
-    "format_polynomial",
-    "gauge_inverse",
-    "gauge_transform",
-    "gerstenhaber_bracket",
-    "hkr",
-    "hochschild_d",
-    "is_admissible",
-    "jacobiator",
-    "kontsevich_star",
-    "kontsevich_star_series",
-    "moyal",
-    "moyal_series",
-    "moyal_via_wick",
-    "operator_associator",
-    "parse_id",
-    "parse_polynomial",
-    "poisson_bracket",
-    "restrict_dirac",
-    "schouten",
-    "snap",
-    "standard_form",
-    "symplectic_orthogonal",
-    "weight_mc",
-    "wick_pairings",
-]
+import importlib
+
+_SUBMODULES = {
+    "graphs": (
+        "AdmissibleGraph",
+        "boundary",
+        "canonical_id",
+        "enumerate_graphs",
+        "is_admissible",
+        "parse_id",
+    ),
+    "linsymp": (
+        "LinearDirac",
+        "SkewForm",
+        "Subspace",
+        "classify_subspace",
+        "dirac_from_pair",
+        "dirac_to_pair",
+        "restrict_dirac",
+        "standard_form",
+        "symplectic_orthogonal",
+    ),
+    "operators": (
+        "MultiDiffOp",
+        "apply_op",
+        "build_b_gamma",
+        "compose_gerstenhaber",
+        "gerstenhaber_bracket",
+        "hkr",
+        "hochschild_d",
+    ),
+    "polyalg": (
+        "FormalSeries",
+        "Polynomial",
+        "PolyVector",
+        "format_polynomial",
+        "jacobiator",
+        "parse_polynomial",
+        "poisson_bracket",
+        "schouten",
+    ),
+    "starprod": (
+        "GaugeOperator",
+        "StarSeries",
+        "associator",
+        "first_order_antisym",
+        "gauge_inverse",
+        "gauge_transform",
+        "kontsevich_star",
+        "kontsevich_star_series",
+        "moyal",
+        "moyal_series",
+        "moyal_via_wick",
+        "operator_associator",
+        "wick_pairings",
+    ),
+    "weights": (
+        "WeightEstimate",
+        "WeightTable",
+        "angle",
+        "build_weight_table",
+        "snap",
+        "weight_mc",
+    ),
+}
+_HOME = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

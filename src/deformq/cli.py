@@ -11,7 +11,6 @@ import argparse
 import itertools
 import json
 import os
-import random
 import sys
 import warnings
 from dataclasses import dataclass
@@ -123,7 +122,9 @@ def load_poisson(path: str) -> PolyVector:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read poisson file {path}: {exc}") from exc
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, not {dim!r}")
         comps = {}
         for key, text in data.get("components", {}).items():
             i_str, j_str = key.split(",")
@@ -197,19 +198,27 @@ def _snapped_table(cfg: RunConfig, order: int) -> WeightTable:
     return table
 
 
+def _print_not_poisson() -> None:
+    print(
+        "warning: [pi,pi] != 0, star product will not be associative",
+        file=sys.stderr,
+    )
+
+
 def _warn_if_not_poisson(pi: PolyVector) -> None:
     if not jacobiator(pi).is_zero:
-        print(
-            "warning: [pi,pi] != 0, star product will not be associative",
-            file=sys.stderr,
-        )
+        _print_not_poisson()
 
 
 def _star_series(pi: PolyVector, order: int, table: WeightTable):
-    with warnings.catch_warnings():
-        # _warn_if_not_poisson already printed the one-line warning
-        warnings.simplefilter("ignore")
-        return kontsevich_star_series(pi, order, table)
+    """kontsevich_star_series, with its one warning (pi is not Poisson)
+    printed as the CLI's one-line warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        series = kontsevich_star_series(pi, order, table)
+    if caught:
+        _print_not_poisson()
+    return series
 
 
 def _series_json(series) -> dict:
@@ -277,7 +286,6 @@ def cmd_star(args) -> int:
         g = parse_polynomial(args.g, pi.dim)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _warn_if_not_poisson(pi)
     table = _snapped_table(cfg, cfg.order)
     series_ops = _star_series(pi, cfg.order, table)
     out = star_apply(series_ops, lift(f, cfg.order), lift(g, cfg.order))
@@ -351,6 +359,8 @@ def _check_assoc(args, cfg: RunConfig) -> dict:
 
 
 def _check_hochschild(args, cfg: RunConfig) -> dict:
+    import random
+
     rng = random.Random(cfg.seed)
 
     def rand_poly(dim, maxdeg=2):
@@ -410,6 +420,8 @@ def _check_hochschild(args, cfg: RunConfig) -> dict:
 
 
 def _check_wick(args, cfg: RunConfig) -> dict:
+    import random
+
     rng = random.Random(cfg.seed)
     failures = 0
     trials = 20

@@ -12,10 +12,12 @@ The Gerstenhaber degree of an arity-(m+1) operator is m.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from deformq.graphs import AdmissibleGraph, is_boundary
@@ -251,10 +253,10 @@ def build_b_gamma(
             sums = acc.setdefault(key, {})
             for exp, c in coeff.items():
                 sums[exp] = sums.get(exp, 0) + c
-    return _from_sums(d, g.nbar, acc)
+    return from_sums(d, g.nbar, acc)
 
 
-def _from_sums(dim: int, arity: int, acc: dict[TermKey, dict]) -> MultiDiffOp:
+def from_sums(dim: int, arity: int, acc: dict[TermKey, dict]) -> MultiDiffOp:
     """The operator whose term `key` has coefficient term dict acc[key]."""
     terms = {}
     for key, sums in acc.items():
@@ -274,7 +276,7 @@ def linear_combination(
             sums = acc.setdefault(key, {})
             for exp, v in coeff.terms.items():
                 sums[exp] = sums.get(exp, 0) + c * v
-    return _from_sums(dim, arity, acc)
+    return from_sums(dim, arity, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +317,64 @@ def multiindex_splits(multi: DerivIndex, parts: int):
         yield tuple(pieces), coeff
 
 
+@functools.cache
+def _splits(multi: DerivIndex, parts: int) -> tuple:
+    """multiindex_splits(multi, parts) as a tuple, computed once per input."""
+    return tuple(multiindex_splits(multi, parts))
+
+
+def insert_into(
+    acc: dict[TermKey, dict],
+    scale,
+    phi: MultiDiffOp,
+    i: int,
+    psi: MultiDiffOp,
+    partials: dict | None = None,
+) -> None:
+    """Add scale * (phi o_i psi) to the term-dict accumulator acc, which maps
+    a term key to its coefficient term dict (as from_sums reads it).
+
+    partials memoises, per Leibniz split of a derivative multi-index, the
+    terms of psi that split leaves nonzero: the derivatives it puts on psi's
+    slots and the split's multiplicity times the derivative of the term's
+    coefficient.  A caller inserting the same psi several times may pass one
+    dict to all of those calls.  No argument is validated.
+    """
+    if partials is None:
+        partials = {}
+    parts = psi.arity + 1
+    for pkey, pcoeff in phi.terms.items():
+        head, tail = pkey[:i], pkey[i + 1 :]
+        pterms = pcoeff.terms.items()
+        if scale != 1:
+            pterms = [(ea, scale * ca) for ea, ca in pterms]
+        for pieces, mult in _splits(pkey[i], parts):
+            split = partials.get(pieces)
+            if split is None:
+                split = partials[pieces] = _split_terms(psi, pieces, mult)
+            for inner, part in split:
+                sums = acc.setdefault(head + inner + tail, {})
+                for ea, ca in pterms:
+                    for eb, cb in part:
+                        e = tuple(map(add, ea, eb))
+                        prev = sums.get(e)
+                        sums[e] = ca * cb if prev is None else prev + ca * cb
+
+
+def _split_terms(psi: MultiDiffOp, pieces: TermKey, mult: int) -> list:
+    """(slot derivatives, coefficient term items) of each term of psi that
+    the Leibniz split pieces, of multiplicity mult, leaves nonzero:
+    pieces[0] differentiates the coefficient and pieces[1:] add to the
+    slots."""
+    out = []
+    for qkey, qcoeff in psi.terms.items():
+        part = _partial_terms(qcoeff.terms, pieces[0])
+        if part:
+            inner = tuple(tuple(map(add, qk, r)) for qk, r in zip(qkey, pieces[1:]))
+            out.append((inner, [(e, mult * c) for e, c in part.items()]))
+    return out
+
+
 def insert(phi: MultiDiffOp, i: int, psi: MultiDiffOp) -> MultiDiffOp:
     """The single composition phi o_i psi (no sign): slot i of phi consumes
     the output of psi; phi's derivative on that slot Leibniz-distributes over
@@ -323,38 +383,21 @@ def insert(phi: MultiDiffOp, i: int, psi: MultiDiffOp) -> MultiDiffOp:
         raise ValueError("dimension mismatch")
     if not 0 <= i <= phi.arity - 1:
         raise ValueError("insertion slot out of range")
-    dim = phi.dim
-    out_arity = phi.arity + psi.arity - 1
-    terms: dict[TermKey, Polynomial] = {}
-    for pkey, pcoeff in phi.terms.items():
-        splits = list(multiindex_splits(pkey[i], psi.arity + 1))
-        for qkey, qcoeff in psi.terms.items():
-            for pieces, mult in splits:
-                dcoeff = qcoeff.partial_multi(pieces[0])
-                if dcoeff.is_zero:
-                    continue
-                coeff = pcoeff * dcoeff
-                if mult != 1:
-                    coeff = coeff.scale(mult)
-                inner = tuple(
-                    tuple(a + b for a, b in zip(qk, piece))
-                    for qk, piece in zip(qkey, pieces[1:])
-                )
-                key = pkey[:i] + inner + pkey[i + 1 :]
-                terms[key] = terms[key] + coeff if key in terms else coeff
-    return MultiDiffOp(dim, out_arity, terms)
+    acc: dict[TermKey, dict] = {}
+    insert_into(acc, 1, phi, i, psi)
+    return from_sums(phi.dim, phi.arity + psi.arity - 1, acc)
 
 
 def compose_gerstenhaber(phi: MultiDiffOp, psi: MultiDiffOp) -> MultiDiffOp:
     """phi o psi = sum_{0 <= i <= m} (-1)^{i n} phi o_i psi, m/n shifted degrees."""
+    if phi.dim != psi.dim:
+        raise ValueError("dimension mismatch")
     m, n = phi.degree, psi.degree
-    out = MultiDiffOp.zero(phi.dim, phi.arity + psi.arity - 1)
+    acc: dict[TermKey, dict] = {}
+    partials: dict = {}
     for i in range(m + 1):
-        piece = insert(phi, i, psi)
-        if (i * n) % 2 == 1:
-            piece = -piece
-        out = out + piece
-    return out
+        insert_into(acc, -1 if (i * n) % 2 else 1, phi, i, psi, partials)
+    return from_sums(phi.dim, phi.arity + psi.arity - 1, acc)
 
 
 def gerstenhaber_bracket(phi: MultiDiffOp, psi: MultiDiffOp) -> MultiDiffOp:

@@ -26,9 +26,12 @@ from deformq.graphs import (
 )
 from deformq.operators import (
     MultiDiffOp,
+    TermKey,
     apply_op,
     build_b_gamma,
+    from_sums,
     insert,
+    insert_into,
     linear_combination,
 )
 from deformq.polyalg import (
@@ -113,18 +116,6 @@ Interval = tuple[Fraction, Fraction]
 _UNIT: Interval = (Fraction(1), Fraction(0))
 
 
-def _abs_op(op: MultiDiffOp) -> MultiDiffOp:
-    """op with every scalar coefficient replaced by its absolute value."""
-    return MultiDiffOp(
-        op.dim,
-        op.arity,
-        {
-            key: Polynomial._trusted(op.dim, {e: abs(c) for e, c in p.terms.items()})
-            for key, p in op.terms.items()
-        },
-    )
-
-
 def associator_bound(
     rows: Sequence[Sequence[tuple[Interval, MultiDiffOp]]],
 ) -> list[tuple[MultiDiffOp, MultiDiffOp]]:
@@ -137,24 +128,38 @@ def associator_bound(
     sum_{i+j=r} sum_{a in rows[i], b in rows[j]} w_a w_b D(op_a, op_b) with
     D(x, y) = insert(x, 0, y) - insert(x, 1, y).  Each product w_a w_b is
     enclosed in center-radius form; its radius multiplies |D|, so R_r is a
-    nonnegative operator and point weights add nothing to it."""
+    nonnegative operator and point weights add nothing to it.
+
+    Every D is accumulated as term dicts: a pair of point weights adds
+    straight into C_r, any other pair builds D once for C_r and |D| for R_r.
+    """
     dim = rows[0][0][1].dim
-
-    def pair_terms(row_a, row_b):
-        out = []
-        for (ca, ra), a in row_a:
-            for (cb, rb), b in row_b:
-                radius = abs(ca) * rb + abs(cb) * ra + ra * rb
-                out.append((ca * cb, radius, insert(a, 0, b) - insert(a, 1, b)))
-        return out
-
-    return [
-        (
-            linear_combination(((c, d) for c, _, d in terms), dim, 3),
-            linear_combination(((r, _abs_op(d)) for _, r, d in terms if r), dim, 3),
-        )
-        for terms in truncated_product((rows, rows), len(rows) - 1, pair_terms, [])
-    ]
+    # derivatives of each op's coefficients, shared by every insertion of it
+    partials = [[{} for _ in row] for row in rows]
+    out = []
+    for r in range(len(rows)):
+        center: dict[TermKey, dict] = {}
+        radius: dict[TermKey, dict] = {}
+        for i in range(r + 1):
+            for (ca, ra), a in rows[i]:
+                for ((cb, rb), b), memo in zip(rows[r - i], partials[r - i]):
+                    c = ca * cb
+                    w = abs(ca) * rb + abs(cb) * ra + ra * rb
+                    if not w:
+                        insert_into(center, c, a, 0, b, memo)
+                        insert_into(center, -c, a, 1, b, memo)
+                        continue
+                    d: dict[TermKey, dict] = {}
+                    insert_into(d, 1, a, 0, b, memo)
+                    insert_into(d, -1, a, 1, b, memo)
+                    for key, sums in d.items():
+                        csums = center.setdefault(key, {})
+                        rsums = radius.setdefault(key, {})
+                        for e, v in sums.items():
+                            csums[e] = csums.get(e, 0) + c * v
+                            rsums[e] = rsums.get(e, 0) + w * abs(v)
+        out.append((from_sums(dim, 3, center), from_sums(dim, 3, radius)))
+    return out
 
 
 def contains_zero(center, radius) -> bool:

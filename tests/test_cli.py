@@ -483,6 +483,21 @@ def test_poisson_file_of_wrong_shape_is_usage_error(capsys, tmp_path, text):
     assert "malformed poisson file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dim", [0, -2, 2.7, "3", True], ids=["zero", "negative", "float", "string", "bool"]
+)
+def test_poisson_dim_must_be_a_positive_integer(capsys, tmp_path, dim, cache_arg):
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps({"dim": dim, "components": {}}))
+    for argv in (
+        ["check", "jacobi", "--pi", str(path)],
+        ["star", "--pi", str(path), "--f", "1", "--g", "1", *cache_arg],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed poisson file {path}: dim must be")
+
+
 def test_env_cache_override(capsys, tmp_path, monkeypatch):
     env_cache = tmp_path / "env_cache.json"
     monkeypatch.setenv("DEFORMQ_CACHE", str(env_cache))
@@ -551,7 +566,7 @@ def test_cache_in_missing_directory_is_usage_error_before_monte_carlo(
     assert not cache.parent.exists()
 
 
-def test_star_warns_on_non_poisson(capsys, tmp_path, weight_cache_path):
+def test_star_warns_on_non_poisson(capsys, tmp_path, weight_cache_path, monkeypatch):
     bad = PolyVector(
         3,
         2,
@@ -563,14 +578,26 @@ def test_star_warns_on_non_poisson(capsys, tmp_path, weight_cache_path):
     )
     path = tmp_path / "bad.json"
     save_poisson(bad, path)
+    calls = []
+    real = starprod.jacobiator
+
+    def counting(pi):
+        calls.append(pi)
+        return real(pi)
+
+    monkeypatch.setattr(starprod, "jacobiator", counting)
+    monkeypatch.setattr(cli, "jacobiator", counting)
     code = main(
         ["star", "--pi", str(path), "--f", "x1", "--g", "x2", "--order", "1",
          "--cache", weight_cache_path]
     )
     captured = capsys.readouterr()
     assert code == 0
-    assert "warning" in captured.err
+    assert captured.err == (
+        "warning: [pi,pi] != 0, star product will not be associative\n"
+    )
     assert json.loads(captured.out)["order"] == 1
+    assert len(calls) == 1
 
 
 def test_check_assoc_mc_mode_order_one(capsys, so3_file):
@@ -667,11 +694,12 @@ def test_warm_star_and_check_assoc_do_not_import_numpy(so3_file, weight_cache_pa
         " '--cache', cache]) == 0\n"
         "assert main(['check', 'assoc', '--pi', pi, '--order', '2',"
         " '--cache', cache]) == 0\n"
-        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "print('numpy' in sys.modules, 'deformq.linsymp' in sys.modules,"
+        " file=sys.stderr)\n"
     )
     proc = _deformq_subprocess(script, so3_file, weight_cache_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "False\n"
+    assert proc.stderr == "False False\n"
 
 
 def test_check_assoc_non_poisson_prints_one_warning_line(tmp_path, weight_cache_path):

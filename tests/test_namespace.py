@@ -1,0 +1,52 @@
+"""The lazy package namespace: `from deformq import name` for every public
+name, run in fresh interpreters so nothing is imported beforehand."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import deformq
+
+SRC = str(Path(deformq.__file__).resolve().parents[1])
+
+
+def _python(code_text):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code_text],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_package_loads_no_submodule():
+    out = _python(
+        "import sys, deformq\n"
+        "print(sorted(m for m in sys.modules if m.startswith('deformq')))\n"
+    )
+    assert out == "['deformq']\n"
+
+
+def test_every_public_name_resolves_from_its_submodule():
+    out = _python(
+        "import importlib, deformq\n"
+        "for name in deformq.__all__:\n"
+        "    exec(f'from deformq import {name} as value')\n"
+        "    home = importlib.import_module(f'deformq.{deformq._HOME[name]}')\n"
+        "    assert value is getattr(home, name), name\n"
+        "    assert name in dir(deformq), name\n"
+        "print(len(deformq.__all__))\n"
+    )
+    assert out == f"{len(deformq.__all__)}\n"
+
+
+def test_unknown_name_is_an_import_error():
+    out = _python(
+        "try:\n"
+        "    from deformq import no_such_name\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    assert out == "ImportError\n"

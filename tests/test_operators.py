@@ -563,3 +563,61 @@ def test_insert_slot_bounds():
     m = MultiDiffOp.multiplication(2)
     with pytest.raises(ValueError):
         insert(m, 2, MultiDiffOp.identity(2))
+
+
+# ---------------------------------------------------------------------------
+# insertion kernel against the Polynomial-level reference
+# ---------------------------------------------------------------------------
+
+
+def _insert_reference(phi, i, psi):
+    """phi o_i psi by the defining Leibniz sum on Polynomial objects: each
+    split of phi's slot-i derivative differentiates psi's coefficient and
+    adds to psi's slots, and the products are summed per term key."""
+    out_arity = phi.arity + psi.arity - 1
+    terms = {}
+    for pkey, pcoeff in phi.terms.items():
+        splits = list(multiindex_splits(pkey[i], psi.arity + 1))
+        for qkey, qcoeff in psi.terms.items():
+            for pieces, mult in splits:
+                dcoeff = qcoeff.partial_multi(pieces[0])
+                if dcoeff.is_zero:
+                    continue
+                coeff = pcoeff * dcoeff
+                if mult != 1:
+                    coeff = coeff.scale(mult)
+                inner = tuple(
+                    tuple(a + b for a, b in zip(qk, piece))
+                    for qk, piece in zip(qkey, pieces[1:])
+                )
+                key = pkey[:i] + inner + pkey[i + 1 :]
+                terms[key] = terms[key] + coeff if key in terms else coeff
+    return MultiDiffOp(phi.dim, out_arity, terms)
+
+
+def test_insert_matches_reference_on_random_operators():
+    rng = random.Random(83)
+    nonconstant = 0
+    for _ in range(40):
+        dim = rng.choice([2, 3])
+        phi = rand_op(rng, dim, rng.randint(1, 3), max_order=3, nterms=3)
+        psi = rand_op(rng, dim, rng.randint(1, 3), max_order=2, nterms=3, maxdeg=3)
+        nonconstant += any(
+            not c.is_constant() for op in (phi, psi) for c in op.terms.values()
+        )
+        for i in range(phi.arity):
+            assert insert(phi, i, psi) == _insert_reference(phi, i, psi)
+    assert nonconstant >= 30
+
+
+def test_compose_gerstenhaber_matches_signed_reference_insertions():
+    rng = random.Random(89)
+    for _ in range(20):
+        dim = rng.choice([2, 3])
+        phi = rand_op(rng, dim, rng.randint(1, 3), nterms=3)
+        psi = rand_op(rng, dim, rng.randint(1, 3), nterms=3)
+        expected = MultiDiffOp.zero(dim, phi.arity + psi.arity - 1)
+        for i in range(phi.arity):
+            piece = _insert_reference(phi, i, psi)
+            expected = expected - piece if i * psi.degree % 2 else expected + piece
+        assert compose_gerstenhaber(phi, psi) == expected

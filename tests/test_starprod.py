@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from deformq.graphs import parse_id
-from deformq.operators import MultiDiffOp, apply_op, linear_combination
+from deformq.operators import MultiDiffOp, apply_op, insert, linear_combination
 from deformq.polyalg import (
     FormalSeries,
     Polynomial,
@@ -334,15 +334,21 @@ def _bound(pi, order, weight):
     return associator_bound([class_rows(pi, n, weight) for n in range(order + 1)])
 
 
-def test_interval_propagation_with_raw_weights(weight_table):
-    # strip the snaps: every weight becomes its 3-sigma band; the associator
-    # bound must still admit zero, on (x1, x2, x3) and as an operator identity
+def _raw_table(weight_table):
+    """weight_table with the snaps of its Monte-Carlo entries stripped."""
     raw = WeightTable()
     for gid, e in weight_table.entries.items():
         raw.put(
             WeightEstimate(gid, e.mean, e.stderr, e.samples, e.seed),
             None if e.stderr > 0 else e.snapped,
         )
+    return raw
+
+
+def test_interval_propagation_with_raw_weights(weight_table):
+    # strip the snaps: every weight becomes its 3-sigma band; the associator
+    # bound must still admit zero, on (x1, x2, x3) and as an operator identity
+    raw = _raw_table(weight_table)
     pi = so3_bivector()
     xs = [Polynomial.var(3, i) for i in (1, 2, 3)]
     bound = _bound(pi, 2, band_weights(raw))
@@ -350,6 +356,51 @@ def test_interval_propagation_with_raw_weights(weight_table):
     for center, radius in bound:
         assert contains_zero(apply_op(center, xs), apply_op(radius, xs))
         assert contains_zero(center, radius)
+
+
+def _associator_bound_reference(rows):
+    """associator_bound pair by pair on MultiDiffOp objects: D(a, b) as
+    insert(a, 0, b) - insert(a, 1, b), its absolute value coefficient by
+    coefficient, and one linear_combination each for C_r and R_r."""
+
+    def abs_op(op):
+        return MultiDiffOp(
+            op.dim,
+            op.arity,
+            {
+                key: Polynomial(op.dim, {e: abs(c) for e, c in p.terms.items()})
+                for key, p in op.terms.items()
+            },
+        )
+
+    dim = rows[0][0][1].dim
+    out = []
+    for r in range(len(rows)):
+        terms = []
+        for i in range(r + 1):
+            for (ca, ra), a in rows[i]:
+                for (cb, rb), b in rows[r - i]:
+                    radius = abs(ca) * rb + abs(cb) * ra + ra * rb
+                    terms.append((ca * cb, radius, insert(a, 0, b) - insert(a, 1, b)))
+        out.append(
+            (
+                linear_combination(((c, d) for c, _, d in terms), dim, 3),
+                linear_combination(((w, abs_op(d)) for _, w, d in terms), dim, 3),
+            )
+        )
+    return out
+
+
+def test_associator_bound_matches_pairwise_reference(weight_table):
+    # raw 3-sigma bands for every Monte-Carlo weight, so most class pairs
+    # carry a radius; then the snapped table, where none does
+    raw = _raw_table(weight_table)
+    pi = so3_bivector()
+    for weight, banded in ((band_weights(raw), True), (point_weights(weight_table), False)):
+        rows = [class_rows(pi, n, weight) for n in range(3)]
+        bound = associator_bound(rows)
+        assert bound == _associator_bound_reference(rows)
+        assert any(not radius.is_zero for _, radius in bound) == banded
 
 
 def test_associator_bound_encloses_every_weight_choice(weight_table):
