@@ -51,11 +51,12 @@ from deformq.weights import (
     WeightTable,
     build_weight_table,
     estimate_and_snap,
-    structural_weight,
 )
 
 DEFAULT_CACHE = "weights_cache.json"
 ENV_CACHE = "DEFORMQ_CACHE"
+# `graphs` refuses to list more labelled graphs than this
+MAX_GRAPHS = 1_000_000
 
 
 class UsageError(Exception):
@@ -131,6 +132,8 @@ def load_poisson(path: str) -> PolyVector:
             i, j = int(i_str), int(j_str)
             if not 1 <= i < j <= dim:
                 raise ValueError(f"component key {key!r} must satisfy 1 <= i < j <= dim")
+            if (i, j) in comps:
+                raise ValueError(f"component ({i}, {j}) is given twice")
             comps[(i, j)] = parse_polynomial(text, dim)
         return PolyVector(dim, 2, comps)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
@@ -170,14 +173,12 @@ def _load_table(cfg: RunConfig) -> WeightTable:
     return WeightTable()
 
 
-def _snapped_table(cfg: RunConfig, order: int) -> WeightTable:
-    """Snapped weights for every graph up to `order`: table mode estimates
-    and persists the ones the cache lacks, mc mode estimates all at exactly
-    --samples.  A needed graph that fails to snap is a check failure."""
+def _weight_table(cfg: RunConfig, graphs) -> WeightTable:
+    """Weights for the given graphs: table mode estimates and persists the
+    ones the cache lacks, mc mode estimates all at exactly --samples."""
     table_mode = cfg.weights_mode == "table"
     table = _load_table(cfg) if table_mode else WeightTable()
     before = dict(table.entries)
-    graphs = star_graphs(order)
     table = build_weight_table(
         graphs,
         seed=cfg.seed,
@@ -188,6 +189,14 @@ def _snapped_table(cfg: RunConfig, order: int) -> WeightTable:
     )
     if table_mode and table.entries != before:
         table.save(cfg.cache_path)
+    return table
+
+
+def _snapped_table(cfg: RunConfig, order: int) -> WeightTable:
+    """_weight_table for every graph up to `order`, where a graph that fails
+    to snap is a check failure."""
+    graphs = star_graphs(order)
+    table = _weight_table(cfg, graphs)
     unsnapped = [
         gid for gid in map(canonical_id, graphs) if table.exact(gid) is None
     ]
@@ -242,6 +251,12 @@ def cmd_graphs(args) -> int:
         raise UsageError("only --nbar 2 is in scope for star products")
     if args.n < 0 or 2 * args.n + args.nbar - 2 < 0:
         raise UsageError("invalid vertex counts")
+    # two ordered edges per aerial vertex, each to one of n + nbar - 1 targets
+    count = (args.n + args.nbar - 1) ** (2 * args.n)
+    if count > MAX_GRAPHS:
+        raise UsageError(
+            f"--n {args.n} has {count} labelled graphs, more than {MAX_GRAPHS}"
+        )
     graphs = enumerate_graphs(args.n, args.nbar, 2)
     ids = [canonical_id(g) for g in graphs]
     flag = all(g.has_required_edge_count() for g in graphs)
@@ -332,14 +347,7 @@ def _check_assoc(args, cfg: RunConfig) -> dict:
         weight = point_weights(_snapped_table(cfg, cfg.order))
     else:
         # raw estimates, one per orbit, each within its 3-sigma band
-        table = WeightTable()
-        memo: dict = {}
-        for g in star_graphs(cfg.order):
-            est, _ = estimate_and_snap(
-                g, cfg.seed, cfg.max_denominator, cfg.samples, cfg.samples, memo
-            )
-            table.put(est, structural_weight(g))
-        weight = band_weights(table)
+        weight = band_weights(_weight_table(cfg, star_graphs(cfg.order)))
         report["samples"] = cfg.samples
     bound = associator_bound(
         [class_rows(pi, n, weight) for n in range(cfg.order + 1)]

@@ -21,7 +21,13 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from deformq.graphs import AdmissibleGraph, is_boundary
-from deformq.polyalg import Polynomial, PolyVector, normalize_wedge
+from deformq.polyalg import (
+    Polynomial,
+    PolyVector,
+    mul_terms,
+    normalize_wedge,
+    partial_terms,
+)
 
 DerivIndex = tuple[int, ...]
 TermKey = tuple[DerivIndex, ...]
@@ -82,22 +88,17 @@ class MultiDiffOp:
 
     def __add__(self, other: "MultiDiffOp") -> "MultiDiffOp":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return MultiDiffOp(self.dim, self.arity, out)
+        return linear_combination([(1, self), (1, other)], self.dim, self.arity)
 
     def __sub__(self, other: "MultiDiffOp") -> "MultiDiffOp":
-        return self + (-other)
+        self._check_compatible(other)
+        return linear_combination([(1, self), (-1, other)], self.dim, self.arity)
 
     def __neg__(self) -> "MultiDiffOp":
-        return MultiDiffOp(self.dim, self.arity, {k: -c for k, c in self.terms.items()})
+        return linear_combination([(-1, self)], self.dim, self.arity)
 
     def scale(self, c) -> "MultiDiffOp":
-        c = Fraction(c)
-        return MultiDiffOp(
-            self.dim, self.arity, {k: v.scale(c) for k, v in self.terms.items()}
-        )
+        return linear_combination([(Fraction(c), self)], self.dim, self.arity)
 
     @property
     def is_zero(self) -> bool:
@@ -169,29 +170,6 @@ def _skew_components(x: PolyVector) -> list[tuple[tuple[int, ...], dict]]:
     return out
 
 
-def _partial_terms(terms: Mapping, multi: DerivIndex) -> dict:
-    """The term dict of d^multi applied to a term dict, in one pass."""
-    out = {}
-    for exp, coeff in terms.items():
-        if any(e < k for e, k in zip(exp, multi)):
-            continue
-        for e, k in zip(exp, multi):
-            for j in range(k):
-                coeff = coeff * (e - j)
-        out[tuple(e - k for e, k in zip(exp, multi))] = coeff
-    return out
-
-
-def _mul_terms(a: Mapping, b: Mapping) -> dict:
-    """The term dict of the product of two term dicts, zeros dropped."""
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
-
-
 def build_b_gamma(
     g: AdmissibleGraph, xs: Sequence[PolyVector], dim: int | None = None
 ) -> MultiDiffOp:
@@ -243,11 +221,11 @@ def build_b_gamma(
             k = tuple(deriv)
             part = memo.get((idx, k))
             if part is None:
-                part = memo[idx, k] = _partial_terms(terms, k)
+                part = memo[idx, k] = partial_terms(terms, k)
             if not part:
                 break
             # a product of nonzero polynomials is nonzero
-            coeff = part if coeff is unit else _mul_terms(coeff, part)
+            coeff = part if coeff is unit else mul_terms(coeff, part)
         else:
             key = tuple(tuple(b) for b in derivs[g.n :])
             sums = acc.setdefault(key, {})
@@ -368,7 +346,7 @@ def _split_terms(psi: MultiDiffOp, pieces: TermKey, mult: int) -> list:
     slots."""
     out = []
     for qkey, qcoeff in psi.terms.items():
-        part = _partial_terms(qcoeff.terms, pieces[0])
+        part = partial_terms(qcoeff.terms, pieces[0])
         if part:
             inner = tuple(tuple(map(add, qk, r)) for qk, r in zip(qkey, pieces[1:]))
             out.append((inner, [(e, mult * c) for e, c in part.items()]))

@@ -5,6 +5,12 @@ Polynomials are sparse maps from exponent tuples to rational coefficients
 Variables are 1-based (x1 .. xd) in the public API and in the text grammar;
 exponent tuples are positional (entry i-1 is the exponent of xi).
 
+Two term-dict kernels, `partial_terms` (a derivative multi-index) and
+`mul_terms` (a product), are the only implementations of differentiation
+and multiplication: `Polynomial.partial_multi`, `Polynomial.partial` and
+`Polynomial.__mul__` wrap them, and the operator code in `operators` calls
+them on raw term dicts.
+
 Polyvector fields of degree k store one Polynomial per strictly increasing
 k-tuple of variable indices.  Wedge monomials with repeated or unsorted
 indices are normalized on construction with the usual sign.
@@ -25,6 +31,31 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def partial_terms(terms: Mapping, multi: Sequence[int]) -> dict:
+    """The term dict of d^multi applied to a term dict, in one pass.
+
+    multi holds one nonnegative count per variable; it is not validated."""
+    out = {}
+    for exp, coeff in terms.items():
+        if any(e < k for e, k in zip(exp, multi)):
+            continue
+        for e, k in zip(exp, multi):
+            for j in range(k):
+                coeff = coeff * (e - j)
+        out[tuple(e - k for e, k in zip(exp, multi))] = coeff
+    return out
+
+
+def mul_terms(a: Mapping, b: Mapping) -> dict:
+    """The term dict of the product of two term dicts, zeros dropped."""
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -97,12 +128,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_dim(other)
-        out: dict[Exponent, Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self.dim, out)
+        return Polynomial._trusted(self.dim, mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other) -> "Polynomial":
         return self * other
@@ -125,26 +151,18 @@ class Polynomial:
         """Exact partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.dim:
             raise ValueError(f"variable index {i} out of range 1..{self.dim}")
-        out: dict[Exponent, Fraction] = {}
-        pos = i - 1
-        for key, coeff in self.terms.items():
-            e = key[pos]
-            if e == 0:
-                continue
-            new = list(key)
-            new[pos] = e - 1
-            out[tuple(new)] = coeff * e
-        return Polynomial(self.dim, out)
+        unit = [0] * self.dim
+        unit[i - 1] = 1
+        return self.partial_multi(unit)
 
     def partial_multi(self, multi: Sequence[int]) -> "Polynomial":
         """Apply the derivative multi-index (counts per variable, positional)."""
-        p = self
-        for pos, count in enumerate(multi):
-            for _ in range(count):
-                p = p.partial(pos + 1)
-                if p.is_zero:
-                    return p
-        return p
+        if len(multi) != self.dim or any(k < 0 for k in multi):
+            raise ValueError(
+                f"derivative multi-index {tuple(multi)} needs {self.dim} "
+                "counts >= 0"
+            )
+        return Polynomial._trusted(self.dim, partial_terms(self.terms, multi))
 
     def evaluate(self, point: Sequence) -> Fraction:
         vals = [_as_fraction(v) for v in point]
@@ -225,7 +243,10 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
         saw_factor = False
         for factor in chunk.split():
             if _COEFF_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {text!r}") from None
                 saw_factor = True
                 continue
             m = _FACTOR_RE.match(factor)
@@ -468,83 +489,37 @@ class PolyVector:
 # ---------------------------------------------------------------------------
 
 
-def _lie_bracket_parts(
-    a: Polynomial, p: int, b: Polynomial, q: int
-) -> list[tuple[Polynomial, int]]:
-    """[a d_p, b d_q] = a (d_p b) d_q - b (d_q a) d_p, as (coefficient, index)."""
-    parts = []
-    dpb = b.partial(p)
-    if not dpb.is_zero:
-        parts.append((a * dpb, q))
-    dqa = a.partial(q)
-    if not dqa.is_zero:
-        parts.append((-(b * dqa), p))
-    return parts
-
-
-def _bracket_function_vector(f: Polynomial, Y: PolyVector) -> PolyVector:
-    """[f, Y] = -iota_Y df, contraction convention sum_j (-1)^(j-1) alpha(W_j)."""
-    dim = f.dim
-    terms = []
-    for key, g in Y.components.items():
-        for j, idx in enumerate(key):
-            dfj = f.partial(idx)
-            if dfj.is_zero:
-                continue
-            coeff = -(g * dfj)
-            if j % 2 == 1:
-                coeff = -coeff
-            rest = key[:j] + key[j + 1 :]
-            terms.append((rest, coeff))
-    return PolyVector.from_terms(dim, Y.degree - 1, terms)
-
-
 def schouten(X: PolyVector, Y: PolyVector) -> PolyVector:
     """Schouten-Nijenhuis bracket [X, Y], degree |X| + |Y| - 1.
 
-    Each component f d_{k1} ^ ... ^ d_{km} is treated as the decomposable
-    wedge (f d_{k1}) ^ d_{k2} ^ ... and the double-sum formula over Lie
-    brackets of the factors is applied; the bracket of two functions is zero.
+    Read as functions of x and odd coordinates xi (d_k ^ ... as xi_k ...),
+
+        [X, Y] = sum_i (X d<-/dxi_i)(d_i Y) - (d_i X)(d->/dxi_i Y).
+
+    The first odd derivative acts from the right, so removing position j of
+    a k-tuple gives the sign (-1)^(k-1-j); the second acts from the left,
+    sign (-1)^j.  On vector fields this is the Lie bracket, [X, f] = X(f)
+    and [f, X] = -X(f); the bracket of two functions is zero.
     """
     if X.dim != Y.dim:
         raise ValueError("dimension mismatch")
     m, n = X.degree, Y.degree
     if m == 0 and n == 0:
         return PolyVector.zero(X.dim, 0)
-    if m == 0:
-        return _bracket_function_vector(X.components.get((), Polynomial.zero(X.dim)), Y)
-    if n == 0:
-        result = _bracket_function_vector(
-            Y.components.get((), Polynomial.zero(Y.dim)), X
-        )
-        return result if m % 2 == 0 else -result
-
     terms = []
     for kx, f in X.components.items():
         for ky, g in Y.components.items():
-            # vector factors: V_1 = f d_{kx[0]}, V_i = d_{kx[i-1]} (i >= 2)
-            for i in range(1, m + 1):
-                for j in range(1, n + 1):
-                    a = f if i == 1 else Polynomial.const(X.dim, 1)
-                    b = g if j == 1 else Polynomial.const(Y.dim, 1)
-                    outer = f if i != 1 else None
-                    outer2 = g if j != 1 else None
-                    for coeff, r in _lie_bracket_parts(a, kx[i - 1], b, ky[j - 1]):
-                        if outer is not None:
-                            coeff = coeff * outer
-                        if outer2 is not None:
-                            coeff = coeff * outer2
-                        if (i + j) % 2 == 1:
-                            coeff = -coeff
-                        rest = (
-                            (r,)
-                            + kx[: i - 1]
-                            + kx[i:]
-                            + ky[: j - 1]
-                            + ky[j:]
-                        )
-                        terms.append((rest, coeff))
-    return PolyVector.from_terms(X.dim, m + n - 1, terms)
+            for j, i in enumerate(kx):
+                dg = g.partial(i)
+                if not dg.is_zero:
+                    terms.append(((m - 1 - j) % 2, kx[:j] + kx[j + 1 :] + ky, f * dg))
+            for j, i in enumerate(ky):
+                df = f.partial(i)
+                if not df.is_zero:
+                    terms.append(((j + 1) % 2, kx + ky[:j] + ky[j + 1 :], df * g))
+    return PolyVector.from_terms(
+        X.dim, m + n - 1, ((idx, -p if odd else p) for odd, idx, p in terms)
+    )
 
 
 def poisson_bracket(pi: PolyVector, f: Polynomial, g: Polynomial) -> Polynomial:

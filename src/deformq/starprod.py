@@ -306,16 +306,14 @@ def point_weights(table: WeightTable) -> Callable[[str], Interval | None]:
 
 
 def band_weights(table: WeightTable) -> Callable[[str], Interval | None]:
-    """Snapped entries as points, the others as their 3-sigma band
-    mean +- 3 stderr, converted to Fractions exactly; None where a graph has
-    no entry."""
+    """Every entry as its 3-sigma band mean +- 3 stderr, converted to
+    Fractions exactly, whether or not it snapped; None where a graph has no
+    entry.  A weight exact by rule has stderr 0, so it stays a point."""
 
     def weight(gid: str) -> Interval | None:
         entry = table.get(gid)
         if entry is None:
             return None
-        if entry.snapped is not None:
-            return (entry.snapped, Fraction(0))
         return (Fraction(entry.mean), 3 * Fraction(entry.stderr))
 
     return weight

@@ -69,6 +69,22 @@ def test_graphs_scope_guard(capsys):
     assert code == 2
 
 
+def test_graphs_refuses_more_than_a_million_before_enumerating(
+    capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("enumerate_graphs called")
+
+    monkeypatch.setattr(cli, "enumerate_graphs", refuse)
+    # n = 5 has 36^5 = 60 466 176 labelled graphs
+    assert main(["graphs", "--n", "5", "--nbar", "2"]) == 2
+    assert "60466176 labelled graphs" in capsys.readouterr().err
+    # n = 4 has 25^4 = 390 625, under the limit
+    monkeypatch.setattr(cli, "enumerate_graphs", lambda *args: [])
+    code, out = run(capsys, ["graphs", "--n", "4", "--nbar", "2"])
+    assert code == 0 and out["count"] == 0
+
+
 def test_unknown_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["graphs", "--bogus"])
@@ -481,6 +497,37 @@ def test_poisson_file_of_wrong_shape_is_usage_error(capsys, tmp_path, text):
     code = main(["check", "jacobi", "--pi", str(path)])
     assert code == 2
     assert "malformed poisson file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, pi12, f",
+    [("star", "x3", "1/0"), ("moyal", "x3", "1/0"), ("star", "1/0 x1", "x1")],
+    ids=["star-f", "moyal-f", "poisson-file"],
+)
+def test_zero_denominator_is_usage_error(capsys, tmp_path, cache_arg, command, pi12, f):
+    path = tmp_path / "pi.json"
+    components = {"1,2": pi12, "1,3": "-x2", "2,3": "x1"}
+    path.write_text(json.dumps({"dim": 3, "components": components}))
+    argv = [command, "--pi", str(path), "--f", f, "--g", "x2", *cache_arg]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "zero denominator in '1/0" in err
+
+
+def test_poisson_repeated_component_is_usage_error(capsys, tmp_path, cache_arg):
+    # "1,2" and "1, 2" both name (1, 2); neither may silently win
+    path = tmp_path / "pi.json"
+    components = {"1,2": "x3", "1, 2": "x1", "1,3": "-x2", "2,3": "x1"}
+    path.write_text(json.dumps({"dim": 3, "components": components}))
+    star = ["star", "--pi", str(path), "--f", "x1", "--g", "x2", "--order", "1"]
+    for argv in (["check", "jacobi", "--pi", str(path)], star + cache_arg):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: malformed poisson file {path}: component (1, 2) is given twice\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,18 @@ def test_partial_index_out_of_range():
         P("x1", 2).partial(3)
 
 
+@pytest.mark.parametrize(
+    "multi",
+    [(1,), (1, 0, 0), (), (-1, 1), (0, -2)],
+    ids=["short", "long", "empty", "negative-first", "negative-second"],
+)
+def test_partial_multi_rejects_bad_multi_index(multi):
+    # a short index would build a short exponent, a negative one would
+    # multiply by the variable
+    with pytest.raises(ValueError):
+        P("x1^2 x2", 2).partial_multi(multi)
+
+
 def test_parse_round_trip():
     rng = random.Random(7)
     for _ in range(50):
@@ -206,6 +218,105 @@ def test_bracket_of_two_functions_is_zero_vector():
     assert out.degree == 0 and out.is_zero
 
 
+def _lie_bracket_parts(a, p, b, q):
+    """[a d_p, b d_q] = a (d_p b) d_q - b (d_q a) d_p, as (coefficient, index)."""
+    parts = []
+    dpb = b.partial(p)
+    if not dpb.is_zero:
+        parts.append((a * dpb, q))
+    dqa = a.partial(q)
+    if not dqa.is_zero:
+        parts.append((-(b * dqa), p))
+    return parts
+
+
+def _bracket_function_vector(f, Y):
+    """[f, Y] = -iota_Y df, contraction convention sum_j (-1)^(j-1) alpha(W_j)."""
+    dim = f.dim
+    terms = []
+    for key, g in Y.components.items():
+        for j, idx in enumerate(key):
+            dfj = f.partial(idx)
+            if dfj.is_zero:
+                continue
+            coeff = -(g * dfj)
+            if j % 2 == 1:
+                coeff = -coeff
+            rest = key[:j] + key[j + 1 :]
+            terms.append((rest, coeff))
+    return PolyVector.from_terms(dim, Y.degree - 1, terms)
+
+
+def _schouten_reference(X, Y):
+    """The Schouten bracket by the double sum over decomposable wedges: each
+    component f d_{k1} ^ ... ^ d_{km} is read as (f d_{k1}) ^ d_{k2} ^ ...,
+    and pairs of factors are combined with Lie brackets; a function argument
+    is handled by contraction."""
+    m, n = X.degree, Y.degree
+    if m == 0 and n == 0:
+        return PolyVector.zero(X.dim, 0)
+    if m == 0:
+        return _bracket_function_vector(X.components.get((), Polynomial.zero(X.dim)), Y)
+    if n == 0:
+        result = _bracket_function_vector(
+            Y.components.get((), Polynomial.zero(Y.dim)), X
+        )
+        return result if m % 2 == 0 else -result
+
+    terms = []
+    for kx, f in X.components.items():
+        for ky, g in Y.components.items():
+            # vector factors: V_1 = f d_{kx[0]}, V_i = d_{kx[i-1]} (i >= 2)
+            for i in range(1, m + 1):
+                for j in range(1, n + 1):
+                    a = f if i == 1 else Polynomial.const(X.dim, 1)
+                    b = g if j == 1 else Polynomial.const(Y.dim, 1)
+                    outer = f if i != 1 else None
+                    outer2 = g if j != 1 else None
+                    for coeff, r in _lie_bracket_parts(a, kx[i - 1], b, ky[j - 1]):
+                        if outer is not None:
+                            coeff = coeff * outer
+                        if outer2 is not None:
+                            coeff = coeff * outer2
+                        if (i + j) % 2 == 1:
+                            coeff = -coeff
+                        rest = (r,) + kx[: i - 1] + kx[i:] + ky[: j - 1] + ky[j:]
+                        terms.append((rest, coeff))
+    return PolyVector.from_terms(X.dim, m + n - 1, terms)
+
+
+def test_schouten_matches_double_sum_reference():
+    # 10 seeded pairs for every dimension 1..4 and degree pair 0..dim
+    rng = random.Random(909)
+    cases = 0
+    for dim in range(1, 5):
+        for dx, dy in itertools.product(range(dim + 1), repeat=2):
+            for _ in range(10):
+                X = rand_polyvector(rng, dim, dx)
+                Y = rand_polyvector(rng, dim, dy)
+                assert schouten(X, Y) == _schouten_reference(X, Y)
+                cases += 1
+    assert cases == 540
+
+
+def test_schouten_sign_convention():
+    # [X, f] = X(f), [f, X] = -X(f), and the Lie bracket on vector fields
+    X = PolyVector(2, 1, {(1,): P("x2", 2), (2,): P("x1^2", 2)})
+    Y = PolyVector(2, 1, {(1,): P("x1 x2", 2)})
+    f = P("x1^2 x2", 2)
+    Xf = P("x2", 2) * f.partial(1) + P("x1^2", 2) * f.partial(2)
+    F = PolyVector.from_function(f)
+    assert schouten(X, F) == PolyVector.from_function(Xf)
+    assert schouten(F, X) == PolyVector.from_function(-Xf)
+    lie = {
+        k: P("x2", 2) * Y.component((k,)).partial(1)
+        + P("x1^2", 2) * Y.component((k,)).partial(2)
+        - P("x1 x2", 2) * X.component((k,)).partial(1)
+        for k in (1, 2)
+    }
+    assert schouten(X, Y) == PolyVector(2, 1, {(k,): c for k, c in lie.items()})
+
+
 def test_schouten_graded_antisymmetry():
     rng = random.Random(101)
     for _ in range(60):
@@ -218,8 +329,8 @@ def test_schouten_graded_antisymmetry():
 
 
 def test_schouten_graded_leibniz():
-    # [X, Y^Z] = [X,Y]^Z + (-1)^((|X|+1)|Y|) Y^[X,Z]; exponent fixed to make
-    # the rule consistent with the defining double-sum formula.
+    # [X, Y^Z] = [X,Y]^Z + (-1)^((|X|+1)|Y|) Y^[X,Z], the graded Leibniz
+    # rule in the sign convention of schouten.
     rng = random.Random(202)
     for _ in range(60):
         dim = rng.randint(2, 4)
