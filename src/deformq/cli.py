@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from deformq.polyalg import (
     jacobiator,
     parse_polynomial,
 )
+from deformq.record import Record
 from deformq.starprod import (
     MissingWeightError,
     associator_bound,
@@ -67,14 +67,26 @@ class CheckFailure(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    order: int = 2
-    samples: int = 1_000_000
-    seed: int = 2024
-    weights_mode: str = "table"
-    max_denominator: int = 24
-    cache_path: Path = Path(DEFAULT_CACHE)
+class RunConfig(Record):
+    __slots__ = (
+        "order", "samples", "seed", "weights_mode", "max_denominator", "cache_path"
+    )
+
+    def __init__(
+        self,
+        order: int = 2,
+        samples: int = 1_000_000,
+        seed: int = 2024,
+        weights_mode: str = "table",
+        max_denominator: int = 24,
+        cache_path: Path = Path(DEFAULT_CACHE),
+    ):
+        self.order = order
+        self.samples = samples
+        self.seed = seed
+        self.weights_mode = weights_mode
+        self.max_denominator = max_denominator
+        self.cache_path = cache_path
 
     def validate(self):
         if self.order > 3:
@@ -161,7 +173,9 @@ def _load_table(cfg: RunConfig) -> WeightTable:
     if cfg.cache_path.exists():
         try:
             return WeightTable.load(cfg.cache_path)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (
+            OSError, ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError
+        ) as exc:
             raise UsageError(
                 f"cannot read weight cache {cfg.cache_path}: {exc}"
             ) from exc

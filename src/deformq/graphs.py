@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+
+from deformq.record import Frozen
 
 Target = int
 Star = tuple[Target, ...]
@@ -28,16 +29,13 @@ def is_boundary(t: Target) -> bool:
     return t < 0
 
 
-@dataclass(frozen=True)
-class AdmissibleGraph:
-    n: int
-    nbar: int
-    stars: tuple[Star, ...]
+class AdmissibleGraph(Frozen):
+    __slots__ = ("n", "nbar", "stars")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "stars", tuple(tuple(s) for s in self.stars)
-        )
+    def __init__(self, n: int, nbar: int, stars: tuple[Star, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "nbar", nbar)
+        object.__setattr__(self, "stars", tuple(tuple(s) for s in stars))
 
     @property
     def edge_count(self) -> int:

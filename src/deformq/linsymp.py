@@ -7,9 +7,10 @@ are canonical for row spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from deformq.record import Frozen
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -110,10 +111,13 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkewForm:
-    dim: int
-    matrix: Matrix
+class SkewForm(Frozen):
+    __slots__ = ("dim", "matrix")
+
+    def __init__(self, dim: int, matrix: Matrix):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "matrix", matrix)
+        self.__post_init__()
 
     def __post_init__(self):
         m = _mat(self.matrix)
@@ -143,10 +147,13 @@ class SkewForm:
         return SkewForm(2 * n, tuple(tuple(r) for r in mat))
 
 
-@dataclass(frozen=True)
-class Subspace:
-    ambient_dim: int
-    basis: tuple[Vector, ...]
+class Subspace(Frozen):
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+        self.__post_init__()
 
     def __post_init__(self):
         b = _mat(self.basis)
@@ -212,12 +219,15 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.ambient_dim, red)
 
 
-@dataclass(frozen=True)
-class LinearDirac:
+class LinearDirac(Frozen):
     """Maximal isotropic subspace of V + V* for <(X,a),(Y,b)> = a(Y) + b(X)."""
 
-    ambient_dim: int
-    basis: tuple[Vector, ...]
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+        self.__post_init__()
 
     def __post_init__(self):
         b = _mat(self.basis)
@@ -338,12 +348,16 @@ def symplectic_orthogonal(omega: SkewForm, w: Subspace) -> Subspace:
     return Subspace(omega.dim, red)
 
 
-@dataclass(frozen=True)
-class SubspaceClass:
-    isotropic: bool
-    coisotropic: bool
-    symplectic: bool
-    lagrangian: bool
+class SubspaceClass(Frozen):
+    __slots__ = ("isotropic", "coisotropic", "symplectic", "lagrangian")
+
+    def __init__(
+        self, isotropic: bool, coisotropic: bool, symplectic: bool, lagrangian: bool
+    ):
+        object.__setattr__(self, "isotropic", isotropic)
+        object.__setattr__(self, "coisotropic", coisotropic)
+        object.__setattr__(self, "symplectic", symplectic)
+        object.__setattr__(self, "lagrangian", lagrangian)
 
 
 def classify_subspace(omega: SkewForm, w: Subspace) -> SubspaceClass:

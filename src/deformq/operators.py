@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from operator import add
@@ -28,16 +27,20 @@ from deformq.polyalg import (
     normalize_wedge,
     partial_terms,
 )
+from deformq.record import Frozen
 
 DerivIndex = tuple[int, ...]
 TermKey = tuple[DerivIndex, ...]
 
 
-@dataclass(frozen=True)
-class MultiDiffOp:
-    dim: int
-    arity: int
-    terms: Mapping[TermKey, Polynomial] = field(default_factory=dict)
+class MultiDiffOp(Frozen):
+    __slots__ = ("dim", "arity", "terms")
+
+    def __init__(self, dim: int, arity: int, terms: Mapping[TermKey, Polynomial] = {}):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.arity < 1:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
+
+from deformq.record import Frozen
 
 Exponent = tuple[int, ...]
 
@@ -58,12 +59,15 @@ def mul_terms(a: Mapping, b: Mapping) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Multivariate polynomial with exact rational coefficients."""
 
-    dim: int
-    terms: Mapping[Exponent, Fraction] = field(default_factory=dict)
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms: Mapping[Exponent, Fraction] = {}):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self):
         clean = {}
@@ -294,8 +298,7 @@ def format_polynomial(p: Polynomial) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalSeries:
+class FormalSeries(Frozen):
     """Truncated power series in the formal parameter h.
 
     coeffs[k] is the coefficient of h^k; len(coeffs) == order + 1.  The value
@@ -303,8 +306,12 @@ class FormalSeries:
     truncated_product.
     """
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: tuple):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.coeffs) != self.order + 1:
@@ -367,17 +374,22 @@ def normalize_wedge(indices: Sequence[int]) -> tuple[int, IndexTuple]:
     return sign, tuple(idx)
 
 
-@dataclass(frozen=True)
-class PolyVector:
+class PolyVector(Frozen):
     """Skew multivector field of degree k with Polynomial components.
 
     components maps strictly increasing 1-based index tuples to Polynomial
     coefficients; a degree-0 polyvector is a polynomial keyed by ().
     """
 
-    dim: int
-    degree: int
-    components: Mapping[IndexTuple, Polynomial] = field(default_factory=dict)
+    __slots__ = ("dim", "degree", "components")
+
+    def __init__(
+        self, dim: int, degree: int, components: Mapping[IndexTuple, Polynomial] = {}
+    ):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "components", components)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.degree < 0:

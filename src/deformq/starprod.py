@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -41,6 +40,7 @@ from deformq.polyalg import (
     jacobiator,
     truncated_product,
 )
+from deformq.record import Frozen
 from deformq.weights import WeightTable
 
 
@@ -53,13 +53,16 @@ class MissingWeightError(KeyError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StarSeries:
+class StarSeries(Frozen):
     """Truncated star product: ops[k] is the h^k bidifferential operator,
     ops[0] the pointwise multiplication."""
 
-    order: int
-    ops: tuple[MultiDiffOp, ...]
+    __slots__ = ("order", "ops")
+
+    def __init__(self, order: int, ops: tuple[MultiDiffOp, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "ops", ops)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.ops) != self.order + 1:
@@ -436,12 +439,15 @@ def first_order_antisym(star: StarSeries) -> PolyVector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaugeOperator:
+class GaugeOperator(Frozen):
     """D = id + sum_{i>=1} h^i D_i with each D_i vanishing on constants."""
 
-    order: int
-    maps: tuple[MultiDiffOp, ...]
+    __slots__ = ("order", "maps")
+
+    def __init__(self, order: int, maps: tuple[MultiDiffOp, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "maps", maps)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.maps) != self.order + 1:

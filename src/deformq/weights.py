@@ -57,7 +57,6 @@ import cmath
 import json
 import math
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +67,7 @@ from deformq.graphs import (
     is_boundary,
     orbit_representative,
 )
+from deformq.record import Frozen, Record
 
 TWO_PI = 2.0 * math.pi
 CHUNK = 1 << 16
@@ -93,13 +93,15 @@ def angle(z: complex, w: complex) -> float:
     return val % TWO_PI
 
 
-@dataclass(frozen=True)
-class WeightEstimate:
-    graph: str
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
+class WeightEstimate(Frozen):
+    __slots__ = ("graph", "mean", "stderr", "samples", "seed")
+
+    def __init__(self, graph: str, mean: float, stderr: float, samples: int, seed: int):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
 
 
 def _pairwise_sum(values: list[float]) -> float:
@@ -490,13 +492,17 @@ def snap(est: WeightEstimate, max_denominator: int) -> Fraction | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WeightEntry:
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
-    snapped: Fraction | None
+class WeightEntry(Record):
+    __slots__ = ("mean", "stderr", "samples", "seed", "snapped")
+
+    def __init__(
+        self, mean: float, stderr: float, samples: int, seed: int, snapped: Fraction | None
+    ):
+        self.mean = mean
+        self.stderr = stderr
+        self.samples = samples
+        self.seed = seed
+        self.snapped = snapped
 
     def to_json(self) -> dict:
         return {
@@ -513,10 +519,17 @@ class WeightEntry:
         return WeightEntry(
             mean=float(data["mean"]),
             stderr=float(data["stderr"]),
-            samples=int(data["samples"]),
-            seed=int(data["seed"]),
-            snapped=Fraction(snapped) if snapped is not None else None,
+            samples=_typed(data["samples"], int),
+            seed=_typed(data["seed"], int),
+            snapped=Fraction(_typed(snapped, str)) if snapped is not None else None,
         )
+
+
+def _typed(value, kind: type):
+    """value itself, if its JSON type is exactly kind (a bool is no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"expected {kind.__name__}, not {value!r}")
+    return value
 
 
 class WeightTable:

@@ -595,6 +595,28 @@ def test_unreadable_cache_is_usage_error_before_monte_carlo(
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [("snapped", "1/0"), ("snapped", 0.1), ("samples", 1.5), ("seed", True)],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["star", "--f", "x1", "--g", "x2"], ["check", "assoc"]],
+    ids=["star", "check-assoc"],
+)
+def test_malformed_cache_entry_is_usage_error(
+    monkeypatch, capsys, so3_file, weight_cache_path, tmp_path, key, value, command
+):
+    entries = json.loads(Path(weight_cache_path).read_text())
+    entries[next(iter(entries))][key] = value
+    cache = tmp_path / "bad.json"
+    cache.write_text(json.dumps(entries))
+    _forbid_monte_carlo(monkeypatch)
+    code = main([*command, "--pi", so3_file, "--order", "2", "--cache", str(cache)])
+    assert code == 2
+    assert "cannot read weight cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command",
     [["weight", "--graph", "1;2;[b1,b1]"],
      ["star", "--f", "x1", "--g", "x2"],
@@ -741,12 +763,13 @@ def test_warm_star_and_check_assoc_do_not_import_numpy(so3_file, weight_cache_pa
         " '--cache', cache]) == 0\n"
         "assert main(['check', 'assoc', '--pi', pi, '--order', '2',"
         " '--cache', cache]) == 0\n"
-        "print('numpy' in sys.modules, 'deformq.linsymp' in sys.modules,"
+        "print(*(m in sys.modules for m in"
+        " ('numpy', 'deformq.linsymp', 'dataclasses', 'inspect')),"
         " file=sys.stderr)\n"
     )
     proc = _deformq_subprocess(script, so3_file, weight_cache_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "False False\n"
+    assert proc.stderr == "False False False False\n"
 
 
 def test_check_assoc_non_poisson_prints_one_warning_line(tmp_path, weight_cache_path):
