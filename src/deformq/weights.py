@@ -41,10 +41,18 @@ the uniforms of every component, so a sample's position in the stream does
 not depend on which component it picked; only the rows that picked the
 heavy component turn its uniforms into points.  Uniform sampling alone
 has a log-divergent second moment at the collision and pin strata and
-settles too slowly to separate neighbouring snap candidates.  Samples are
-generated in fixed-size chunks with independent Philox streams keyed by
-(seed, chunk index) and combined by pairwise summation, so estimates are
-bit-stable and chunk-parallelizable.
+settles too slowly to separate neighbouring snap candidates.
+
+Samples are generated in chunks of CHUNK with independent Philox streams
+keyed by (seed, chunk index).  A chunk draws all its uniforms first, then
+evaluates points, mixture density and integrand in blocks of BLOCK rows,
+which keeps its temporaries small enough that one chunk per usable core
+fits in the memory a whole-chunk evaluation took.  The chunks run on a
+thread pool with one worker per usable core (numpy releases the
+interpreter lock inside its kernels); each chunk sums its own samples, and
+the chunk sums are combined by pairwise summation in chunk order.  Nothing
+a sum depends on varies with the block or the worker, so estimates are
+bit-identical for any number of cores.
 
 numpy is imported inside the Monte-Carlo functions, not at module level, so
 the exact-algebra commands (star and check assoc on a warm cache) start
@@ -56,6 +64,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 import zlib
 from fractions import Fraction
 from pathlib import Path
@@ -71,6 +80,7 @@ from deformq.record import Frozen, Record
 
 TWO_PI = 2.0 * math.pi
 CHUNK = 1 << 16
+BLOCK = 8192
 MAX_SAMPLES = 64_000_000
 
 
@@ -264,18 +274,18 @@ def _internal_pairs(g: AdmissibleGraph) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _sample_cayley(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
-    """Cayley images i (1 + w)/(1 - w) of uniform disk points w = r e^{i t},
-    in real arithmetic: (-2 r sin t + i (1 - r^2)) / |1 - w|^2."""
+def _cayley_points(u: np.ndarray) -> np.ndarray:
+    """Cayley images i (1 + w)/(1 - w) of uniform disk points w = r e^{i t}
+    from uniforms u of shape (N, 2n), in real arithmetic:
+    (-2 r sin t + i (1 - r^2)) / |1 - w|^2."""
     import numpy as np
 
-    u = rng.random((size, 2 * n))
     r = np.sqrt(u[:, 0::2])
     cos_t, sin_t = _cos_sin(TWO_PI * u[:, 1::2])
     x = 1.0 - r * cos_t
     y = r * sin_t
     inv = 1.0 / (x * x + y * y)
-    z = np.empty((size, n), dtype=complex)
+    z = np.empty(r.shape, dtype=complex)
     z.real = -2.0 * y * inv
     z.imag = (1.0 - u[:, 0::2]) * inv
     return z
@@ -333,29 +343,31 @@ def weight_orbit(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
     return orbit_representative(g)
 
 
-def weight_mc(
-    g: AdmissibleGraph,
-    samples: int,
-    seed: int,
-    boundary_points: tuple[float, float] = (0.0, 1.0),
-) -> WeightEstimate:
-    """Monte-Carlo estimate of the (prefactored) weight of a graph, nbar = 2.
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Graphs with a structural_weight get it exactly, with zero stderr.
-    Identical (graph, samples, seed) inputs give bit-identical estimates.
-    """
-    if g.nbar != 2:
-        raise ValueError("only two boundary vertices are supported")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    gid = canonical_id(g)
-    exact = structural_weight(g)
-    if exact is not None:
-        return WeightEstimate(gid, float(exact), 0.0, samples, seed)
+
+def _chunk_sums(
+    g: AdmissibleGraph,
+    seed: int,
+    boundary_points: tuple[float, float],
+    index: int,
+    size: int,
+) -> tuple[float, float]:
+    """The sum and the sum of squares of the weighted integrand over chunk
+    `index` of `size` samples.
+
+    Every uniform of the chunk is drawn first, in stream order; the points,
+    the mixture density and the integrand are then evaluated BLOCK rows at a
+    time.  Both sums run over the whole chunk, so the result does not depend
+    on BLOCK."""
     import numpy as np
 
     n = g.n
-
     prefactor = 1.0 / (TWO_PI ** (2 * n))
     for star in g.stars:
         prefactor /= math.factorial(len(star))
@@ -373,26 +385,26 @@ def weight_mc(
     betas = [b / total_beta for b in betas]
     pin_base = 2
     pair_base = 2 + len(pins)
-    ncomp = len(betas)
 
-    chunk_sums: list[float] = []
-    chunk_sq_sums: list[float] = []
-    done = 0
-    index = 0
-    while done < samples:
-        size = min(CHUNK, samples - done)
-        rng = _chunk_rng(seed, index)
-        comp = rng.choice(ncomp, size=size, p=betas)
-        z = _sample_cayley(rng, size, n)
-        # every sample draws heavy uniforms, which keeps the stream layout;
-        # only the samples of the heavy component transform them
-        u_heavy = rng.random((size, 2 * n))
+    rng = _chunk_rng(seed, index)
+    comp_all = rng.choice(len(betas), size=size, p=betas)
+    u_cayley = rng.random((size, 2 * n))
+    # every sample draws heavy uniforms, which keeps the stream layout;
+    # only the samples of the heavy component transform them
+    u_heavy = rng.random((size, 2 * n))
+    u_rho = rng.random(size)
+    u_angle = rng.random(size)
+    vals = np.empty(size)
+    for lo in range(0, size, BLOCK):
+        hi = min(lo + BLOCK, size)
+        comp = comp_all[lo:hi]
+        z = _cayley_points(u_cayley[lo:hi])
         heavy_sel = comp == 1
-        z[heavy_sel] = _heavy_points(u_heavy[heavy_sel])
+        z[heavy_sel] = _heavy_points(u_heavy[lo:hi][heavy_sel])
         # planted offsets, folded into the half-plane by mirror reflection
-        rho = _sample_offset_radius(rng.random(size))
-        cos_t, sin_t = _cos_sin(TWO_PI * rng.random(size))
-        offs = np.empty(size, dtype=complex)
+        rho = _sample_offset_radius(u_rho[lo:hi])
+        cos_t, sin_t = _cos_sin(TWO_PI * u_angle[lo:hi])
+        offs = np.empty(hi - lo, dtype=complex)
         offs.real = rho * cos_t
         offs.imag = rho * sin_t
         for ci, (i, t) in enumerate(pins, start=pin_base):
@@ -431,7 +443,7 @@ def weight_mc(
             density = density + betas[ci] * others[j] * qd
         # exact float coincidences (vertex on vertex or on a pin) occur with
         # probability ~0 and make the integrand singular; drop those samples
-        coincide = np.zeros(size, dtype=bool)
+        coincide = np.zeros(hi - lo, dtype=bool)
         for i in range(n):
             for t in boundary_points:
                 coincide |= z[:, i] == complex(t, 0.0)
@@ -440,20 +452,55 @@ def weight_mc(
         if np.any(coincide):
             for k in range(n):  # harmless distinct placeholders; zeroed below
                 z[coincide, k] = (k + 1) * 1j
-        vals = (
+        block = (
             _raw_integrand(g, z.real, z.imag, boundary_points) / density
         ) * prefactor
         if np.any(coincide):
-            vals = np.where(coincide, 0.0, vals)
-        if not np.all(np.isfinite(vals)):
-            raise FloatingPointError(f"non-finite integrand sample for {gid}")
-        chunk_sums.append(float(np.sum(vals)))
-        chunk_sq_sums.append(float(np.sum(vals * vals)))
-        done += size
-        index += 1
+            block = np.where(coincide, 0.0, block)
+        vals[lo:hi] = block
+    if not np.all(np.isfinite(vals)):
+        raise FloatingPointError(
+            f"non-finite integrand sample for {canonical_id(g)}"
+        )
+    return float(np.sum(vals)), float(np.sum(vals * vals))
 
-    total = _pairwise_sum(chunk_sums)
-    total_sq = _pairwise_sum(chunk_sq_sums)
+
+def weight_mc(
+    g: AdmissibleGraph,
+    samples: int,
+    seed: int,
+    boundary_points: tuple[float, float] = (0.0, 1.0),
+) -> WeightEstimate:
+    """Monte-Carlo estimate of the (prefactored) weight of a graph, nbar = 2.
+
+    Graphs with a structural_weight get it exactly, with zero stderr.
+    Identical (graph, samples, seed) inputs give bit-identical estimates on
+    any number of cores.
+    """
+    if g.nbar != 2:
+        raise ValueError("only two boundary vertices are supported")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    gid = canonical_id(g)
+    exact = structural_weight(g)
+    if exact is not None:
+        return WeightEstimate(gid, float(exact), 0.0, samples, seed)
+    sizes = [min(CHUNK, samples - done) for done in range(0, samples, CHUNK)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    # numpy releases the interpreter lock inside its kernels, so chunks run
+    # in parallel; map yields them in chunk order and, when one raises,
+    # cancels the chunks that have not started
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(sizes))) as pool:
+        sums = list(
+            pool.map(
+                lambda index, size: _chunk_sums(g, seed, boundary_points, index, size),
+                range(len(sizes)),
+                sizes,
+            )
+        )
+    total = _pairwise_sum([s for s, _ in sums])
+    total_sq = _pairwise_sum([sq for _, sq in sums])
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     stderr = math.sqrt(var / samples)
@@ -568,8 +615,13 @@ class WeightTable:
 
 
 def graph_seed(base_seed: int, gid: str) -> int:
-    """Stable per-graph stream key derived from (seed, graph id)."""
-    return ((base_seed << 32) ^ zlib.crc32(gid.encode("utf-8"))) & (2**64 - 1)
+    """Stable per-graph stream key derived from (seed, graph id).
+
+    The seed fills the high 32 bits of the 64-bit key, so it must lie in
+    [0, 2**32): any other seed would share its streams with one inside."""
+    if not 0 <= base_seed < 1 << 32:
+        raise ValueError(f"seed {base_seed} is outside [0, 2**32)")
+    return (base_seed << 32) ^ zlib.crc32(gid.encode("utf-8"))
 
 
 def estimate_and_snap(

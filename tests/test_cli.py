@@ -179,6 +179,31 @@ def test_max_denominator_below_one_refused_before_any_work(
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("seed", ["-5", "4294967296", "4294967297"])
+@pytest.mark.parametrize(
+    "command",
+    [["weight", "--graph", "1;2;[b1,b2]"],
+     ["star", "--f", "x1", "--g", "x2"],
+     ["check", "assoc", "--weights", "mc"]],
+    ids=["weight", "star", "check-assoc-mc"],
+)
+def test_seed_outside_32_bits_refused_before_any_work(
+    monkeypatch, capsys, tmp_path, so3_file, command, seed
+):
+    # the seed is the high half of every 64-bit stream key: -5 would draw
+    # the streams of 4294967291, and 4294967297 those of 1
+    _forbid_monte_carlo(monkeypatch)
+    cache = tmp_path / "w.json"
+    pi = [] if command[0] == "weight" else ["--pi", so3_file]
+    code = main(
+        command + pi + ["--order", "2", "--samples", "10000", "--seed", seed,
+                        "--cache", str(cache)]
+    )
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_weight_needs_two_boundary_vertices(monkeypatch, capsys, tmp_path):
     _forbid_monte_carlo(monkeypatch)
     cache = tmp_path / "w.json"
@@ -764,12 +789,13 @@ def test_warm_star_and_check_assoc_do_not_import_numpy(so3_file, weight_cache_pa
         "assert main(['check', 'assoc', '--pi', pi, '--order', '2',"
         " '--cache', cache]) == 0\n"
         "print(*(m in sys.modules for m in"
-        " ('numpy', 'deformq.linsymp', 'dataclasses', 'inspect')),"
+        " ('numpy', 'deformq.linsymp', 'dataclasses', 'inspect',"
+        " 'concurrent.futures')),"
         " file=sys.stderr)\n"
     )
     proc = _deformq_subprocess(script, so3_file, weight_cache_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "False False False False\n"
+    assert proc.stderr == "False False False False False\n"
 
 
 def test_check_assoc_non_poisson_prints_one_warning_line(tmp_path, weight_cache_path):

@@ -15,10 +15,22 @@ from deformq.graphs import (
 )
 from deformq.starprod import star_graphs
 from deformq.weights import (
+    CHUNK,
+    TWO_PI,
     WeightEntry,
     WeightEstimate,
     WeightTable,
+    _cayley_density,
+    _cayley_points,
+    _chunk_rng,
+    _cos_sin,
+    _heavy_density,
+    _heavy_points,
+    _internal_pairs,
+    _offset_density,
+    _pairwise_sum,
     _raw_integrand,
+    _sample_offset_radius,
     angle,
     build_weight_table,
     estimate_and_snap,
@@ -340,6 +352,15 @@ def test_graph_seed_stable():
     assert graph_seed(7, "1;2;[b1,b2]") == graph_seed(7, "1;2;[b1,b2]")
     assert graph_seed(7, "1;2;[b1,b2]") != graph_seed(7, "1;2;[b2,b1]")
     assert graph_seed(7, "x") != graph_seed(8, "x")
+    assert graph_seed(0, "x") != graph_seed(2**32 - 1, "x")
+
+
+@pytest.mark.parametrize("seed", [-5, -1, 2**32, 2**32 + 1])
+def test_graph_seed_refuses_seeds_outside_32_bits(seed):
+    # the seed fills the high half of the key: -5 would alias 2**32 - 5,
+    # 2**32 + 1 would alias 1
+    with pytest.raises(ValueError, match="outside"):
+        graph_seed(seed, "1;2;[b1,b2]")
 
 
 def test_weight_entry_json_round_trip():
@@ -586,3 +607,141 @@ def test_weight_mc_keeps_its_sample_stream():
     for gid, mean in STREAM_PINS.items():
         est = weight_mc(parse_id(gid), 100_000, 11)
         assert abs(est.mean - mean) <= 1e-9 * abs(mean), gid
+
+
+# ---------------------------------------------------------------------------
+# blocks and workers against the whole-chunk serial loop
+# ---------------------------------------------------------------------------
+
+
+def _weight_mc_reference(g, samples, seed, boundary_points=(0.0, 1.0)):
+    """(mean, stderr) from one serial loop that evaluates each chunk whole:
+    the reference for the blocks and worker threads of weight_mc."""
+    import numpy as np
+
+    n = g.n
+    prefactor = 1.0 / (TWO_PI ** (2 * n))
+    for star in g.stars:
+        prefactor /= math.factorial(len(star))
+    pairs = _internal_pairs(g)
+    pins = [(i, float(t)) for i in range(n) for t in boundary_points]
+    if pairs:
+        betas = [0.35, 0.15]
+        betas += [0.3 / len(pins)] * len(pins)
+        betas += [0.2 / len(pairs)] * len(pairs)
+    else:
+        betas = [0.4, 0.2] + [0.4 / len(pins)] * len(pins)
+    total_beta = sum(betas)
+    betas = [b / total_beta for b in betas]
+    pin_base = 2
+    pair_base = 2 + len(pins)
+
+    chunk_sums, chunk_sq_sums = [], []
+    done = 0
+    index = 0
+    while done < samples:
+        size = min(CHUNK, samples - done)
+        rng = _chunk_rng(seed, index)
+        comp = rng.choice(len(betas), size=size, p=betas)
+        z = _cayley_points(rng.random((size, 2 * n)))
+        u_heavy = rng.random((size, 2 * n))
+        heavy_sel = comp == 1
+        z[heavy_sel] = _heavy_points(u_heavy[heavy_sel])
+        rho = _sample_offset_radius(rng.random(size))
+        cos_t, sin_t = _cos_sin(TWO_PI * rng.random(size))
+        offs = np.empty(size, dtype=complex)
+        offs.real = rho * cos_t
+        offs.imag = rho * sin_t
+        for ci, (i, t) in enumerate(pins, start=pin_base):
+            sel = comp == ci
+            if not np.any(sel):
+                continue
+            moved = t + offs[sel]
+            moved = np.where(moved.imag <= 0.0, np.conj(moved), moved)
+            z[sel, i] = moved
+        for ci, (i, j) in enumerate(pairs, start=pair_base):
+            sel = comp == ci
+            if not np.any(sel):
+                continue
+            moved = z[sel, i] + offs[sel]
+            moved = np.where(moved.imag <= 0.0, np.conj(moved), moved)
+            z[sel, j] = moved
+        cay_all = _cayley_density(z)
+        heavy_all = _heavy_density(z)
+        density = betas[0] * math.prod(cay_all.T) + betas[1] * math.prod(
+            heavy_all.T
+        )
+        others = [
+            math.prod(c for m, c in enumerate(cay_all.T) if m != k)
+            for k in range(n)
+        ]
+        for ci, (i, t) in enumerate(pins, start=pin_base):
+            qd = 2.0 * _offset_density(z[:, i] - t)
+            density = density + betas[ci] * others[i] * qd
+        for ci, (i, j) in enumerate(pairs, start=pair_base):
+            dz = z[:, j] - z[:, i]
+            dz_mirror = np.conj(z[:, j]) - z[:, i]
+            qd = _offset_density(dz) + _offset_density(dz_mirror)
+            density = density + betas[ci] * others[j] * qd
+        coincide = np.zeros(size, dtype=bool)
+        for i in range(n):
+            for t in boundary_points:
+                coincide |= z[:, i] == complex(t, 0.0)
+            for j in range(i + 1, n):
+                coincide |= z[:, i] == z[:, j]
+        if np.any(coincide):
+            for k in range(n):
+                z[coincide, k] = (k + 1) * 1j
+        vals = (
+            _raw_integrand(g, z.real, z.imag, boundary_points) / density
+        ) * prefactor
+        if np.any(coincide):
+            vals = np.where(coincide, 0.0, vals)
+        assert np.all(np.isfinite(vals))
+        chunk_sums.append(float(np.sum(vals)))
+        chunk_sq_sums.append(float(np.sum(vals * vals)))
+        done += size
+        index += 1
+    mean = _pairwise_sum(chunk_sums) / samples
+    var = max(_pairwise_sum(chunk_sq_sums) / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
+
+
+@pytest.mark.parametrize(
+    "orders, samples, count",
+    # each count leaves a short last chunk, and so a short last block
+    [((1, 2), 2 * CHUNK + 5000, 5), ((3,), CHUNK + 777, 27)],
+    ids=["order-1-2", "order-3"],
+)
+def test_weight_mc_is_bit_identical_to_whole_chunk_loop(orders, samples, count):
+    gids = [
+        gid for order in orders for gid in _monte_carlo_representatives(order)
+        if gid not in CLOSED_SET_ORBITS
+    ]
+    assert len(gids) == count
+    for gid in gids:
+        g = parse_id(gid)
+        est = weight_mc(g, samples, 11)
+        mean, stderr = _weight_mc_reference(g, samples, 11)
+        assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex()), gid
+
+
+def test_failing_chunk_raises_and_leaves_no_worker_thread(monkeypatch):
+    import threading
+
+    import numpy as np
+
+    real = weights._raw_integrand
+    short = 100  # only the last of four chunks has a block this short
+
+    def inf_in_last_chunk(g, a, b, boundary_points):
+        vals = real(g, a, b, boundary_points)
+        return np.full_like(vals, np.inf) if len(vals) == short else vals
+
+    before = threading.active_count()
+    weight_mc(WEDGE, 3 * CHUNK + short, 3)
+    assert threading.active_count() == before
+    monkeypatch.setattr(weights, "_raw_integrand", inf_in_last_chunk)
+    with pytest.raises(FloatingPointError, match=r"1;2;\[b1,b2\]"):
+        weight_mc(WEDGE, 3 * CHUNK + short, 3)
+    assert threading.active_count() == before
