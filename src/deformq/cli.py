@@ -95,6 +95,9 @@ class RunConfig(Record):
             raise UsageError("--order must be nonnegative")
         if self.samples < 10_000:
             raise UsageError("--samples must be at least 10000")
+        if self.samples > MAX_SAMPLES:
+            # table mode escalates from --samples up to this cap
+            raise UsageError(f"--samples must be at most {MAX_SAMPLES}")
         if not 0 <= self.seed < 1 << 32:
             # graph_seed puts the seed in the high half of a 64-bit stream key
             raise UsageError("--seed must be in [0, 2**32)")

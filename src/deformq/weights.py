@@ -14,6 +14,13 @@ normalization: it makes the one-vertex two-edge graph come out at exactly
 coefficient is the Poisson bracket itself; it amounts to a fixed rescaling
 of the formal parameter and so preserves associativity at every order.
 
+weight_mc returns a weight that a rule fixes (weight_rule: the support of
+the integrand, that order-1 normalization, closed vertex sets, odd
+automorphisms and the mirror) exactly, without sampling; every other weight
+it estimates with _sample_weight, the Monte-Carlo sampler described below.
+Estimates are made once per class of graphs under relabelling, star
+reordering and the mirror b1 <-> b2 (weight_orbit).
+
 The Jacobian is never stored densely.  An edge row has nonzero entries only
 in the columns of its endpoints: 2 for an edge to a boundary point, 4 for an
 edge between aerial vertices.  The determinant is expanded row by row over
@@ -62,6 +69,7 @@ without loading it.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import os
@@ -71,10 +79,10 @@ from pathlib import Path
 
 from deformq.graphs import (
     AdmissibleGraph,
+    _target_order,
     boundary,
     canonical_id,
     is_boundary,
-    orbit_representative,
 )
 from deformq.record import Frozen, Record
 
@@ -305,42 +313,129 @@ def _heavy_points(u: np.ndarray) -> np.ndarray:
     return z
 
 
-def structural_weight(g: AdmissibleGraph) -> Fraction | None:
-    """The weight of a graph that is exact by rule, else None.
+def _images(g: AdmissibleGraph):
+    """(h, sign, mirrored) for every relabelling of the aerial vertices of a
+    graph with two boundary vertices, without and then with the mirror
+    b1 <-> b2, where h is the image with each star in target order and
+    w(h) = sign * w(g).
 
-    A graph whose edge count differs from 2n + nbar - 2 has weight 0, as does
-    a graph with a repeated edge (the same 1-form wedged with itself); the
-    empty graph integrates the empty wedge over a point and has weight 1.
-    For n >= 1, a boundary vertex that no edge reaches makes the weight 0:
-    the form is pulled back from the configuration space without that
-    boundary point, whose dimension is one less than the form's degree.
+    The image of an edge is an edge of h, so the images of the Jacobian rows
+    of g are a permutation of the rows of h; its parity is the sign of a
+    relabelling (the columns move in pairs, which is sign-free).  The mirror
+    z -> 1 - conj(z) swaps the pins 0 and 1, negates each of the 2n edge
+    angles (sign-free) and reverses the orientation of each aerial vertex's
+    half-plane, which adds (-1)^n.  A repeated edge leaves the sign undefined; such graphs weigh 0.
+    """
+    n = g.n
+    edges = g.edges()
+    for mirrored in (False, True):
+        swap = {boundary(1): boundary(2), boundary(2): boundary(1)} if mirrored else {}
+        for perm in itertools.permutations(range(1, n + 1)):
+
+            def image(t: int) -> int:
+                return swap.get(t, t) if is_boundary(t) else perm[t - 1]
+
+            stars: list[tuple[int, ...]] = [()] * n
+            for v, star in enumerate(g.stars):
+                stars[perm[v] - 1] = tuple(sorted(map(image, star), key=_target_order))
+            h = AdmissibleGraph(n, g.nbar, tuple(stars))
+            rows = h.edges()
+            moved = [rows.index((perm[src - 1], image(t))) for src, t in edges]
+            inversions = sum(
+                moved[i] > moved[j]
+                for i in range(len(moved))
+                for j in range(i + 1, len(moved))
+            )
+            odd = (inversions + (n if mirrored else 0)) % 2
+            yield h, -1 if odd else 1, mirrored
+
+
+def _order_key(g: AdmissibleGraph) -> tuple:
+    return tuple(tuple(map(_target_order, star)) for star in g.stars)
+
+
+def _closed_set(g: AdmissibleGraph) -> bool:
+    """Whether a nonempty set S of aerial vertices sends at least 2|S| edges,
+    all into S and one boundary vertex.
+
+    Those edges' rows of the Jacobian are nonzero only in the 2|S| columns
+    of S.  More than 2|S| such rows are dependent; exactly 2|S| have the
+    dilation of S about that boundary point, which moves no angle among
+    them, in their kernel.  Either way the integrand vanishes pointwise."""
+    for size in range(1, g.n + 1):
+        for members in itertools.combinations(range(1, g.n + 1), size):
+            targets = [t for v in members for t in g.stars[v - 1]]
+            if len(targets) < 2 * size:
+                continue
+            outside = {t for t in targets if t not in members}
+            if len(outside) <= 1 and all(map(is_boundary, outside)):
+                return True
+    return False
+
+
+def weight_rule(g: AdmissibleGraph) -> tuple[str, Fraction] | None:
+    """(rule, weight) for a graph whose weight a rule fixes, else None.
+
+    The rules, in the order they are tried:
+
+      - edge count: an edge count other than 2n + nbar - 2 gives 0;
+      - repeated edge: the same 1-form wedged with itself gives 0;
+      - empty graph: the empty wedge over a point gives 1;
+      - unreached boundary: for n >= 1, a boundary vertex that no edge
+        reaches gives 0, since the form is pulled back from the
+        configuration space without that point, whose dimension is one less
+        than the form's degree;
+
+    and, for two boundary vertices,
+
+      - order 1: the wedge [b1,b2] weighs 1/2, the normalization that makes
+        B_1 the Poisson bracket, and [b2,b1] weighs -1/2;
+      - closed set: see _closed_set; gives 0;
+      - odd automorphism: a relabelling (with star reorderings) that maps g
+        to itself with sign -1 gives w = -w = 0;
+      - mirror zero: likewise for a relabelling composed with the mirror.
     """
     if not g.has_required_edge_count():
-        return Fraction(0)
+        return "edge count", Fraction(0)
     edges = g.edges()
     if len(set(edges)) != len(edges):
-        return Fraction(0)
+        return "repeated edge", Fraction(0)
     if g.n == 0:
-        return Fraction(1)
+        return "empty graph", Fraction(1)
     targets = {t for _, t in edges}
     if any(boundary(k) not in targets for k in range(1, g.nbar + 1)):
-        return Fraction(0)
+        return "unreached boundary", Fraction(0)
+    if g.nbar != 2:
+        return None
+    if g.n == 1:
+        return "order 1", Fraction(1 if g.stars[0] == (boundary(1), boundary(2)) else -1, 2)
+    if _closed_set(g):
+        return "closed set", Fraction(0)
+    # the first image is g's own, with its stars sorted; another map that
+    # reaches it with the other sign is a symmetry of sign -1
+    images = _images(g)
+    own, own_sign, _ = next(images)
+    for h, sign, mirrored in images:
+        if sign != own_sign and h.stars == own.stars:
+            return "mirror zero" if mirrored else "odd automorphism", Fraction(0)
     return None
 
 
-def weight_orbit(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
-    """(rep, sign) with w(g) = sign * w(rep).
+def structural_weight(g: AdmissibleGraph) -> Fraction | None:
+    """The weight of a graph that is exact by rule (weight_rule), else None."""
+    rule = weight_rule(g)
+    return None if rule is None else rule[1]
 
-    Reordering a star reorders its 1-forms in the wedge, which the sign of
-    orbit_representative counts.  Relabelling the aerial vertices permutes
-    whole stars, which is sign-free only when no two stars have odd size;
-    since a graph with a nonzero weight has an even edge count, that means
-    every star has even size.  A graph with an odd star is its own
-    representative.
+
+def weight_orbit(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
+    """(rep, sign) with w(g) = sign * w(rep): rep is the least image of g
+    under relabelling, star reordering and the mirror (see _images).
+
+    A graph with a sign -1 symmetry weighs 0 by rule, so for every graph
+    that is estimated the sign does not depend on the map that reaches rep.
     """
-    if any(len(star) % 2 for star in g.stars):
-        return g, 1
-    return orbit_representative(g)
+    rep, sign, _ = min(_images(g), key=lambda image: _order_key(image[0]))
+    return rep, sign
 
 
 def _usable_cpus() -> int:
@@ -471,20 +566,32 @@ def weight_mc(
     seed: int,
     boundary_points: tuple[float, float] = (0.0, 1.0),
 ) -> WeightEstimate:
-    """Monte-Carlo estimate of the (prefactored) weight of a graph, nbar = 2.
-
-    Graphs with a structural_weight get it exactly, with zero stderr.
-    Identical (graph, samples, seed) inputs give bit-identical estimates on
-    any number of cores.
+    """The (prefactored) weight of a graph, nbar = 2: exact, with zero
+    stderr, when a rule fixes it (structural_weight), else the Monte-Carlo
+    estimate of _sample_weight.
     """
     if g.nbar != 2:
         raise ValueError("only two boundary vertices are supported")
     if samples < 1:
         raise ValueError("samples must be positive")
-    gid = canonical_id(g)
     exact = structural_weight(g)
     if exact is not None:
-        return WeightEstimate(gid, float(exact), 0.0, samples, seed)
+        return WeightEstimate(canonical_id(g), float(exact), 0.0, samples, seed)
+    return _sample_weight(g, samples, seed, boundary_points)
+
+
+def _sample_weight(
+    g: AdmissibleGraph,
+    samples: int,
+    seed: int,
+    boundary_points: tuple[float, float] = (0.0, 1.0),
+) -> WeightEstimate:
+    """Monte-Carlo estimate of the (prefactored) weight of a graph with two
+    boundary vertices and samples >= 1, whatever rules fix it.
+
+    Identical (graph, samples, seed) inputs give bit-identical estimates on
+    any number of cores.
+    """
     sizes = [min(CHUNK, samples - done) for done in range(0, samples, CHUNK)]
     from concurrent.futures import ThreadPoolExecutor
 
@@ -504,7 +611,7 @@ def weight_mc(
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     stderr = math.sqrt(var / samples)
-    return WeightEstimate(gid, mean, stderr, samples, seed)
+    return WeightEstimate(canonical_id(g), mean, stderr, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +670,12 @@ class WeightEntry(Record):
     @staticmethod
     def from_json(data: dict) -> "WeightEntry":
         snapped = data.get("snapped")
+        stderr = _finite(data["stderr"])
+        if stderr < 0:
+            raise ValueError(f"negative stderr {stderr!r}")
         return WeightEntry(
-            mean=float(data["mean"]),
-            stderr=float(data["stderr"]),
+            mean=_finite(data["mean"]),
+            stderr=stderr,
             samples=_typed(data["samples"], int),
             seed=_typed(data["seed"], int),
             snapped=Fraction(_typed(snapped, str)) if snapped is not None else None,
@@ -577,6 +687,13 @@ def _typed(value, kind: type):
     if type(value) is not kind:
         raise ValueError(f"expected {kind.__name__}, not {value!r}")
     return value
+
+
+def _finite(value) -> float:
+    """value as a float, if it is a finite JSON number (a bool is none)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, not {value!r}")
+    return float(value)
 
 
 class WeightTable:
@@ -635,9 +752,10 @@ def estimate_and_snap(
     """Estimate with quadrupling sample counts until snapping is unambiguous.
 
     A graph with a structural_weight returns it directly.  Any other graph
-    is estimated through its weight_orbit representative, with the stream
-    key graph_seed(seed, representative id), and the result comes back under
-    g's id with the orbit sign applied to the mean and the snapped value.
+    is estimated through its weight_orbit representative (over relabelling,
+    star reordering and the mirror), with the stream key graph_seed(seed,
+    representative id), and the result comes back under g's id with the
+    orbit sign applied to the mean and the snapped value.
     Callers passing the same `memo` dict (with the same other arguments)
     estimate each orbit once.  A Monte-Carlo estimate must have a positive
     spread: snap raises ValueError otherwise.

@@ -113,7 +113,8 @@ def test_weight_wedge(capsys, tmp_path):
         ],
     )
     assert code == 0
-    assert abs(out["mean"] - 0.5) <= 3 * out["stderr"]
+    # exact by the order-1 rule
+    assert (out["mean"], out["stderr"]) == (0.5, 0.0)
     assert out["snapped"] == "1/2"
     stored = json.loads(cache.read_text())
     assert "1;2;[b1,b2]" in stored
@@ -131,8 +132,8 @@ def test_weight_wrong_edge_count(capsys, tmp_path):
 
 def test_weight_determinism(capsys, tmp_path):
     argv = [
-        "weight", "--graph", "1;2;[b1,b2]", "--samples", "100000",
-        "--seed", "3", "--cache", str(tmp_path / "w.json"),
+        "weight", "--graph", "2;2;[b1,b2],[b1,b2]", "--weights", "mc",
+        "--samples", "100000", "--seed", "3", "--cache", str(tmp_path / "w.json"),
     ]
     _, a = run(capsys, argv)
     _, b = run(capsys, argv)
@@ -201,6 +202,30 @@ def test_seed_outside_32_bits_refused_before_any_work(
     )
     assert code == 2
     assert "--seed" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("samples", [str(weights.MAX_SAMPLES + 1), "100000000000"])
+@pytest.mark.parametrize(
+    "command",
+    [["weight", "--graph", "2;2;[b1,b2],[b1,b2]"],
+     ["star", "--f", "x1", "--g", "x2"],
+     ["check", "assoc", "--weights", "mc"]],
+    ids=["weight", "star", "check-assoc-mc"],
+)
+def test_samples_above_the_cap_refused_before_any_work(
+    monkeypatch, capsys, tmp_path, so3_file, command, samples
+):
+    # table mode escalates from --samples up to MAX_SAMPLES; a start above
+    # the cap would skip it, and 10^11 samples take days
+    _forbid_monte_carlo(monkeypatch)
+    cache = tmp_path / "w.json"
+    pi = [] if command[0] == "weight" else ["--pi", so3_file]
+    code = main(
+        command + pi + ["--order", "2", "--samples", samples, "--cache", str(cache)]
+    )
+    assert code == 2
+    assert "--samples" in capsys.readouterr().err
     assert not cache.exists()
 
 
@@ -621,7 +646,9 @@ def test_unreadable_cache_is_usage_error_before_monte_carlo(
 
 @pytest.mark.parametrize(
     "key, value",
-    [("snapped", "1/0"), ("snapped", 0.1), ("samples", 1.5), ("seed", True)],
+    [("snapped", "1/0"), ("snapped", 0.1), ("samples", 1.5), ("seed", True),
+     ("mean", "0.5"), ("mean", True), ("mean", float("nan")),
+     ("mean", float("inf")), ("stderr", -1)],
 )
 @pytest.mark.parametrize(
     "command",
@@ -742,8 +769,9 @@ def test_check_assoc_mc_mode_estimates_once_per_orbit(
          "--weights", "mc", "--samples", "10000"],
     )
     assert code == 0 and out["pass"] is True
-    # one order-1 orbit and four order-2 orbits, not the 38 labelled graphs
-    assert len(estimated) == 5
+    # three order-2 orbits, not the 38 labelled graphs: order 1 is exact by
+    # rule, and the mirror folds the -1/12 and 1/12 classes into one
+    assert len(estimated) == 3
     assert all(weights.weight_orbit(g) == (g, 1) for g in estimated)
 
 

@@ -11,6 +11,7 @@ from deformq.graphs import (
     boundary,
     canonical_id,
     is_boundary,
+    orbit_representative,
     parse_id,
 )
 from deformq.starprod import star_graphs
@@ -31,6 +32,7 @@ from deformq.weights import (
     _pairwise_sum,
     _raw_integrand,
     _sample_offset_radius,
+    _sample_weight,
     angle,
     build_weight_table,
     estimate_and_snap,
@@ -39,6 +41,7 @@ from deformq.weights import (
     structural_weight,
     weight_mc,
     weight_orbit,
+    weight_rule,
 )
 
 b1, b2 = boundary(1), boundary(2)
@@ -126,12 +129,20 @@ def test_angle_range():
 
 
 def test_wedge_weight_brackets_half():
-    est = weight_mc(WEDGE, 200_000, 4242)
+    # the sampler against the normalization the order-1 rule asserts
+    est = _sample_weight(WEDGE, 200_000, 4242)
     assert est.stderr > 0
     assert abs(est.mean - 0.5) <= 3 * est.stderr
     # equivalent restatement: raw slice integral is (2 pi)^2
     raw = est.mean * 2 * (2 * math.pi) ** 2
     assert abs(raw - (2 * math.pi) ** 2) <= 3 * est.stderr * 2 * (2 * math.pi) ** 2
+
+
+def test_order_one_weights_are_exact_by_rule():
+    assert weight_rule(WEDGE) == ("order 1", Fraction(1, 2))
+    assert weight_rule(parse_id("1;2;[b2,b1]")) == ("order 1", Fraction(-1, 2))
+    est = weight_mc(parse_id("1;2;[b2,b1]"), 1000, 1)
+    assert (est.mean, est.stderr) == (-0.5, 0.0)
 
 
 def test_wrong_edge_count_weight_is_exact_zero():
@@ -158,25 +169,25 @@ def test_nbar_other_than_two_rejected():
 
 
 def test_reproducibility():
-    a = weight_mc(WEDGE, 150_000, 99)
-    b = weight_mc(WEDGE, 150_000, 99)
+    a = _sample_weight(WEDGE, 150_000, 99)
+    b = _sample_weight(WEDGE, 150_000, 99)
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
-    c = weight_mc(WEDGE, 150_000, 100)
+    c = _sample_weight(WEDGE, 150_000, 100)
     assert (c.mean, c.stderr) != (a.mean, a.stderr)
 
 
 def test_stderr_scaling():
     # doubling samples four times cuts stderr by about 4 (within 20%)
-    small = weight_mc(WEDGE, 60_000, 31415)
-    large = weight_mc(WEDGE, 960_000, 31415)
+    small = _sample_weight(WEDGE, 60_000, 31415)
+    large = _sample_weight(WEDGE, 960_000, 31415)
     ratio = small.stderr / large.stderr
     assert 0.8 * 4 <= ratio <= 1.2 * 4
 
 
 def test_gauge_invariance_of_pinning():
-    base = weight_mc(WEDGE, 150_000, 555)
+    base = _sample_weight(WEDGE, 150_000, 555)
     for c in (2.0, 5.0):
-        moved = weight_mc(WEDGE, 150_000, 556, boundary_points=(0.0, c))
+        moved = _sample_weight(WEDGE, 150_000, 556, boundary_points=(0.0, c))
         combined = math.hypot(base.stderr, moved.stderr)
         assert abs(base.mean - moved.mean) <= 3 * combined
 
@@ -255,9 +266,9 @@ def test_jacobian_matches_finite_differences_of_angle():
 
 
 def test_orientation_sign_flip():
-    a = weight_mc(WEDGE, 150_000, 777)
+    a = _sample_weight(WEDGE, 150_000, 777)
     swapped = AdmissibleGraph(1, 2, ((b2, b1),))
-    c = weight_mc(swapped, 150_000, 778)
+    c = _sample_weight(swapped, 150_000, 778)
     combined = math.hypot(a.stderr, c.stderr)
     assert abs(a.mean + c.mean) <= 3 * combined
 
@@ -294,7 +305,7 @@ def test_snap_requires_a_denominator_bound_of_at_least_one(max_denominator):
 
 
 def test_wedge_snaps_to_half():
-    est = weight_mc(WEDGE, 1_000_000, 2718)
+    est = _sample_weight(WEDGE, 1_000_000, 2718)
     assert est.stderr < 0.01
     assert snap(est, 12) == Fraction(1, 2)
 
@@ -308,9 +319,10 @@ def test_estimate_and_snap_exact_cases():
 
 def test_zero_spread_estimate_does_not_snap():
     # one sample gives zero variance; only structural weights are exact
-    assert structural_weight(WEDGE) is None
+    g = parse_id("2;2;[b1,b2],[b1,b2]")
+    assert structural_weight(g) is None
     with pytest.raises(ValueError):
-        estimate_and_snap(WEDGE, 5, initial_samples=1)
+        estimate_and_snap(g, 5, initial_samples=1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,30 +437,33 @@ def test_unreached_boundary_vertex_integrand_vanishes():
 def test_unreached_boundary_vertex_is_structural_zero():
     for gid in NOISE_ZERO_ORBITS + ("2;2;[b1,2],[b1,1]",):
         assert structural_weight(parse_id(gid)) == 0
-    for gid in ("1;2;[b1,b2]", "2;2;[2,b1],[1,b2]", "2;2;[b1,b2],[b1,b2]"):
+    for gid in ("2;2;[2,b1],[1,b2]", "2;2;[b1,b2],[b1,b2]"):
         assert structural_weight(parse_id(gid)) is None
 
 
 def test_estimate_and_snap_returns_signed_representative_estimate():
-    rep_est, rep_val = estimate_and_snap(WEDGE, 7, initial_samples=200_000)
-    est, val = estimate_and_snap(parse_id("1;2;[b2,b1]"), 7, initial_samples=200_000)
-    assert est.graph == "1;2;[b2,b1]" and rep_est.graph == "1;2;[b1,b2]"
+    # the member is the representative's mirror with its second star swapped
+    rep, member = "2;2;[2,b1],[b1,b2]", "2;2;[2,b2],[b1,b2]"
+    assert weight_orbit(parse_id(member)) == (parse_id(rep), -1)
+    rep_est, rep_val = estimate_and_snap(parse_id(rep), 7)
+    est, val = estimate_and_snap(parse_id(member), 7)
+    assert est.graph == member and rep_est.graph == rep
     assert est.mean == -rep_est.mean
     assert (est.stderr, est.samples, est.seed) == (
         rep_est.stderr, rep_est.samples, rep_est.seed,
     )
-    assert rep_est.seed == graph_seed(7, "1;2;[b1,b2]")
-    assert (rep_val, val) == (Fraction(1, 2), Fraction(-1, 2))
+    assert rep_est.seed == graph_seed(7, rep)
+    assert (rep_val, val) == (Fraction(-1, 12), Fraction(1, 12))
 
 
-def test_odd_stars_are_their_own_orbit():
+def test_relabelling_odd_stars_flips_the_sign():
     # swapping the aerial labels of a graph with stars of sizes 1 and 3
     # swaps two odd blocks of rows of the Jacobian: the integrand flips sign
     import numpy as np
 
     g = parse_id("2;2;[b1],[1,b1,b2]")
     relabelled = parse_id("2;2;[2,b1,b2],[b1]")
-    assert weight_orbit(g) == (g, 1)
+    assert weight_orbit(g) == (relabelled, -1)
     rng = np.random.default_rng(5)
     a, b = rng.uniform(-2, 2, (50, 2)), rng.uniform(0.3, 2, (50, 2))
     got = _raw_integrand(g, a, b, (0.0, 1.0))
@@ -463,6 +478,77 @@ def test_committed_table_is_signed_consistent_on_orbits():
     for gid in table.entries:
         rep, sign = weight_orbit(parse_id(gid))
         assert table.exact(gid) == sign * table.exact(canonical_id(rep)), gid
+
+
+def _mirror_id(gid):
+    """The id of the graph with b1 and b2 swapped."""
+    return gid.replace("b1", "x").replace("b2", "b1").replace("x", "b2")
+
+
+def test_committed_table_obeys_every_rule():
+    table = WeightTable.load(CACHE)
+    assert len(table.entries) == 85
+    ruled = mirrored = 0
+    for gid, entry in table.entries.items():
+        g = parse_id(gid)
+        rule = weight_rule(g)
+        if rule is not None:
+            assert entry.snapped == rule[1], (gid, rule)
+            ruled += 1
+        mirror = table.exact(_mirror_id(gid))
+        if mirror is not None:
+            assert entry.snapped == (-1) ** g.n * mirror, gid
+            mirrored += 1
+    assert (ruled, mirrored) == (57, 85)
+
+
+def test_integrand_mirror_identity():
+    # z -> 1 - conj(z) swaps the pins 0 and 1 and negates every edge angle:
+    # the mirrored graph's integrand at the mirrored points is (-1)^n times,
+    # and weight_orbit folds the mirror with that sign
+    import numpy as np
+
+    checked = 0
+    for order in (1, 2, 3):
+        z = _configurations(order, seed=31, count=200)
+        for g in _integrand_graphs(order):
+            mirror = parse_id(_mirror_id(canonical_id(g)))
+            got = _raw_integrand(mirror, 1.0 - z.real, z.imag, (0.0, 1.0))
+            want = (-1) ** order * _raw_integrand(g, z.real, z.imag, (0.0, 1.0))
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12), canonical_id(g)
+            if structural_weight(g) is None:
+                rep, sign = weight_orbit(g)
+                assert weight_orbit(mirror) == (rep, (-1) ** order * sign)
+            checked += 1
+    assert checked == 2 + 28 + 1304
+
+
+def test_odd_automorphism_rule():
+    # swapping vertices 2 and 3 fixes the graph, swaps the two edges of
+    # vertex 1 and the two stars of size 2: the integrand is odd under it
+    import numpy as np
+
+    g = parse_id("3;2;[2,3],[b1,b2],[b1,b2]")
+    assert weight_rule(g) == ("odd automorphism", 0)
+    z = _configurations(3, seed=5, count=200)
+    vals = _raw_integrand(g, z.real, z.imag, (0.0, 1.0))
+    swapped = _raw_integrand(g, z.real[:, [0, 2, 1]], z.imag[:, [0, 2, 1]], (0.0, 1.0))
+    assert np.abs(vals).max() > 1e-3
+    assert np.allclose(swapped, -vals, rtol=1e-9, atol=1e-12)
+
+
+def test_mirror_zero_rule():
+    # the mirror maps the graph to itself up to one swap in the star of
+    # size 3, and n = 2: the integrand is odd under z -> 1 - conj(z)
+    import numpy as np
+
+    g = parse_id("2;2;[2],[1,b1,b2]")
+    assert weight_rule(g) == ("mirror zero", 0)
+    z = _configurations(2, seed=5, count=200)
+    vals = _raw_integrand(g, z.real, z.imag, (0.0, 1.0))
+    mirrored = _raw_integrand(g, 1.0 - z.real, z.imag, (0.0, 1.0))
+    assert np.abs(vals).max() > 1e-3
+    assert np.allclose(mirrored, -vals, rtol=1e-9, atol=1e-12)
 
 
 def test_build_weight_table_estimates_each_orbit_once(monkeypatch):
@@ -483,14 +569,14 @@ def test_build_weight_table_estimates_each_orbit_once(monkeypatch):
         {canonical_id(weight_orbit(g)[0]) for g in star_graphs(2)
          if structural_weight(g) is None}
     )
-    assert len(estimated) == 5
+    assert len(estimated) == 3
     assert {gid: e.snapped for gid, e in table.entries.items()} == {
         gid: e.snapped for gid, e in committed.entries.items()
     }
 
 
 def test_order_two_table_rederived_from_empty_cache():
-    # the whole order-2 table from scratch: five Monte-Carlo orbits at 1M
+    # the whole order-2 table from scratch: three Monte-Carlo orbits at 1M
     # samples must reproduce every committed snapped value
     table = build_weight_table(star_graphs(2), seed=2024)
     committed = WeightTable.load(CACHE)
@@ -543,15 +629,33 @@ def _raw_integrand_reference(g, a, b, boundary_points):
     return (2.0 ** n) * np.linalg.det(jac)
 
 
-def _monte_carlo_representatives(order):
-    """Ids of the orbit representatives of graphs with exactly `order`
-    aerial vertices that have no structural weight."""
+# the rules that read the weight off the support of the integrand; the
+# others (order 1, closed set and the symmetries) fix the weight of graphs
+# whose integrand the kernel must still get right
+SUPPORT_RULES = ("edge count", "repeated edge", "empty graph", "unreached boundary")
+
+
+def _rule_name(g):
+    rule = weight_rule(g)
+    return None if rule is None else rule[0]
+
+
+def _integrand_graphs(order):
+    """The graphs with exactly `order` aerial vertices and two edges per
+    vertex whose weight no support rule fixes."""
+    return [
+        g for g in star_graphs(order)
+        if g.n == order and _rule_name(g) not in SUPPORT_RULES
+    ]
+
+
+def _integrand_representatives(order):
+    """Ids of the orbit_representative graphs of _integrand_graphs(order):
+    for order 1 the wedge, for order 2 the four classes whose Monte-Carlo
+    estimates the stream pins fix, for order 3 the 31 classes before any
+    closed-set or symmetry rule."""
     return sorted(
-        {
-            canonical_id(weight_orbit(g)[0])
-            for g in star_graphs(order)
-            if g.n == order and structural_weight(g) is None
-        }
+        {canonical_id(orbit_representative(g)[0]) for g in _integrand_graphs(order)}
     )
 
 
@@ -560,7 +664,7 @@ def test_raw_integrand_matches_dense_determinant():
     # the closed-set orbits integrate to noise and are checked below
     import numpy as np
 
-    ids = {n: _monte_carlo_representatives(n) for n in (1, 2, 3)}
+    ids = {n: _integrand_representatives(n) for n in (1, 2, 3)}
     assert [len(v) for v in ids.values()] == [1, 4, 31]
     ids[2] += ["2;2;[b1],[1,b1,b2]", "2;2;[b2],[1,b1,b2]"]
     checked = 0
@@ -581,14 +685,16 @@ def test_raw_integrand_matches_dense_determinant():
 def test_closed_set_orbit_integrands_vanish():
     # each of these has a set S of aerial vertices whose 2|S| edges all land
     # in S plus one boundary vertex; the wedge vanishes pointwise
-    assert set(CLOSED_SET_ORBITS) <= set(_monte_carlo_representatives(3))
+    assert set(CLOSED_SET_ORBITS) <= set(_integrand_representatives(3))
+    for gid in CLOSED_SET_ORBITS:
+        assert weight_rule(parse_id(gid)) == ("closed set", 0), gid
     sizes = _integrand_sizes(CLOSED_SET_ORBITS + ("3;2;[2,b1],[3,b2],[1,b2]",), n=3)
     assert sizes.pop("3;2;[2,b1],[3,b2],[1,b2]").max() > 1e-3
     for gid, vals in sizes.items():
         assert vals.max() < 1e-9, gid
 
 
-# weight_mc(rep, 100_000, 11).mean of the Monte-Carlo representatives of
+# _sample_weight(rep, 100_000, 11).mean of the integrand representatives of
 # orders 1 and 2, as the dense-determinant kernel gave them
 STREAM_PINS = {
     "1;2;[b1,b2]": 0.5000421401816252,
@@ -602,10 +708,10 @@ STREAM_PINS = {
 def test_weight_mc_keeps_its_sample_stream():
     # a changed draw order or count moves each mean by about one stderr,
     # far outside the tolerance; float reordering moves it by ~1e-14
-    reps = _monte_carlo_representatives(1) + _monte_carlo_representatives(2)
+    reps = _integrand_representatives(1) + _integrand_representatives(2)
     assert sorted(STREAM_PINS) == reps
     for gid, mean in STREAM_PINS.items():
-        est = weight_mc(parse_id(gid), 100_000, 11)
+        est = _sample_weight(parse_id(gid), 100_000, 11)
         assert abs(est.mean - mean) <= 1e-9 * abs(mean), gid
 
 
@@ -616,7 +722,7 @@ def test_weight_mc_keeps_its_sample_stream():
 
 def _weight_mc_reference(g, samples, seed, boundary_points=(0.0, 1.0)):
     """(mean, stderr) from one serial loop that evaluates each chunk whole:
-    the reference for the blocks and worker threads of weight_mc."""
+    the reference for the blocks and worker threads of _sample_weight."""
     import numpy as np
 
     n = g.n
@@ -715,13 +821,13 @@ def _weight_mc_reference(g, samples, seed, boundary_points=(0.0, 1.0)):
 )
 def test_weight_mc_is_bit_identical_to_whole_chunk_loop(orders, samples, count):
     gids = [
-        gid for order in orders for gid in _monte_carlo_representatives(order)
+        gid for order in orders for gid in _integrand_representatives(order)
         if gid not in CLOSED_SET_ORBITS
     ]
     assert len(gids) == count
     for gid in gids:
         g = parse_id(gid)
-        est = weight_mc(g, samples, 11)
+        est = _sample_weight(g, samples, 11)
         mean, stderr = _weight_mc_reference(g, samples, 11)
         assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex()), gid
 
@@ -739,9 +845,9 @@ def test_failing_chunk_raises_and_leaves_no_worker_thread(monkeypatch):
         return np.full_like(vals, np.inf) if len(vals) == short else vals
 
     before = threading.active_count()
-    weight_mc(WEDGE, 3 * CHUNK + short, 3)
+    _sample_weight(WEDGE, 3 * CHUNK + short, 3)
     assert threading.active_count() == before
     monkeypatch.setattr(weights, "_raw_integrand", inf_in_last_chunk)
     with pytest.raises(FloatingPointError, match=r"1;2;\[b1,b2\]"):
-        weight_mc(WEDGE, 3 * CHUNK + short, 3)
+        _sample_weight(WEDGE, 3 * CHUNK + short, 3)
     assert threading.active_count() == before
