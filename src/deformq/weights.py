@@ -51,10 +51,12 @@ has a log-divergent second moment at the collision and pin strata and
 settles too slowly to separate neighbouring snap candidates.
 
 Samples are generated in chunks of CHUNK with independent Philox streams
-keyed by (seed, chunk index).  A chunk draws all its uniforms first, then
-evaluates points, mixture density and integrand in blocks of BLOCK rows,
-which keeps its temporaries small enough that one chunk per usable core
-fits in the memory a whole-chunk evaluation took.  The chunks run on a
+keyed by (seed, chunk index).  A chunk is evaluated in blocks of BLOCK
+rows, and a block draws only its own uniforms: Philox is counter-based, so
+each part of the chunk's stream (component, Cayley, heavy, offset radius
+and offset angle uniforms) is read from its own position without drawing
+what lies before it.  A chunk holds its sample values and one block's
+temporaries, never the uniforms of the whole chunk.  The chunks run on a
 thread pool with one worker per usable core (numpy releases the
 interpreter lock inside its kernels); each chunk sums its own samples, and
 the chunk sums are combined by pairwise summation in chunk order.  Nothing
@@ -446,6 +448,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _stream_at(seed: int, index: int, offset: int) -> np.random.Generator:
+    """The generator of chunk `index` positioned at double `offset` of its
+    stream: Philox makes 4 doubles per counter step, so advance(k) skips 4k
+    of them and the rest are drawn and dropped."""
+    rng = _chunk_rng(seed, index)
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
+    return rng
+
+
 def _chunk_sums(
     g: AdmissibleGraph,
     seed: int,
@@ -456,10 +468,12 @@ def _chunk_sums(
     """The sum and the sum of squares of the weighted integrand over chunk
     `index` of `size` samples.
 
-    Every uniform of the chunk is drawn first, in stream order; the points,
-    the mixture density and the integrand are then evaluated BLOCK rows at a
-    time.  Both sums run over the whole chunk, so the result does not depend
-    on BLOCK."""
+    The chunk's stream holds, in this order, the component uniforms, then
+    the Cayley, heavy, offset radius and offset angle uniforms of all its
+    samples.  Each part is read through a generator placed at its start,
+    BLOCK rows at a time, so a block draws only its own rows and evaluates
+    their points, mixture density and integrand.  Both sums run over the
+    whole chunk, so the result does not depend on BLOCK."""
     import numpy as np
 
     n = g.n
@@ -480,65 +494,64 @@ def _chunk_sums(
     betas = [b / total_beta for b in betas]
     pin_base = 2
     pair_base = 2 + len(pins)
+    cdf = np.cumsum(betas)
+    cdf /= cdf[-1]
 
-    rng = _chunk_rng(seed, index)
-    comp_all = rng.choice(len(betas), size=size, p=betas)
-    u_cayley = rng.random((size, 2 * n))
-    # every sample draws heavy uniforms, which keeps the stream layout;
-    # only the samples of the heavy component transform them
-    u_heavy = rng.random((size, 2 * n))
-    u_rho = rng.random(size)
-    u_angle = rng.random(size)
+    u_comp, u_cayley, u_heavy, u_rho, u_angle = (
+        _stream_at(seed, index, offset)
+        for offset in itertools.accumulate((0, size, 2 * n * size, 2 * n * size, size))
+    )
     vals = np.empty(size)
     for lo in range(0, size, BLOCK):
-        hi = min(lo + BLOCK, size)
-        comp = comp_all[lo:hi]
-        z = _cayley_points(u_cayley[lo:hi])
-        heavy_sel = comp == 1
-        z[heavy_sel] = _heavy_points(u_heavy[lo:hi][heavy_sel])
+        m = min(BLOCK, size - lo)
+        # a component uniform u picks the number of cumulative weights <= u,
+        # as Generator.choice(p=betas) does; a small integer type makes the
+        # stable sort below a radix sort
+        u = u_comp.random(m)
+        comp = np.zeros(m, dtype=np.min_scalar_type(len(betas)))
+        for edge in cdf:
+            comp += edge <= u
+        # rows[c]: the rows of component c, in row order
+        rows = np.split(
+            np.argsort(comp, kind="stable"),
+            np.cumsum(np.bincount(comp, minlength=len(betas)))[:-1],
+        )
+        z = _cayley_points(u_cayley.random((m, 2 * n)))
+        # every sample draws heavy uniforms, which keeps the stream layout;
+        # only the samples of the heavy component transform them
+        z[rows[1]] = _heavy_points(u_heavy.random((m, 2 * n))[rows[1]])
         # planted offsets, folded into the half-plane by mirror reflection
-        rho = _sample_offset_radius(u_rho[lo:hi])
-        cos_t, sin_t = _cos_sin(TWO_PI * u_angle[lo:hi])
-        offs = np.empty(hi - lo, dtype=complex)
+        rho = _sample_offset_radius(u_rho.random(m))
+        cos_t, sin_t = _cos_sin(TWO_PI * u_angle.random(m))
+        offs = np.empty(m, dtype=complex)
         offs.real = rho * cos_t
         offs.imag = rho * sin_t
         for ci, (i, t) in enumerate(pins, start=pin_base):
-            sel = comp == ci
-            if not np.any(sel):
-                continue
-            moved = t + offs[sel]
-            moved = np.where(moved.imag <= 0.0, np.conj(moved), moved)
-            z[sel, i] = moved
+            moved = t + offs[rows[ci]]
+            z[rows[ci], i] = np.where(moved.imag <= 0.0, np.conj(moved), moved)
         for ci, (i, j) in enumerate(pairs, start=pair_base):
-            sel = comp == ci
-            if not np.any(sel):
-                continue
-            moved = z[sel, i] + offs[sel]
-            moved = np.where(moved.imag <= 0.0, np.conj(moved), moved)
-            z[sel, j] = moved
+            moved = z[rows[ci], i] + offs[rows[ci]]
+            z[rows[ci], j] = np.where(moved.imag <= 0.0, np.conj(moved), moved)
         # mixture density at the realized points
         cay_all = _cayley_density(z)
         heavy_all = _heavy_density(z)
-        density = betas[0] * math.prod(cay_all.T) + betas[1] * math.prod(
-            heavy_all.T
-        )
+        density = betas[0] * math.prod(cay_all.T)
+        density += betas[1] * math.prod(heavy_all.T)
         # others[k]: product of the Cayley densities of every vertex but k
         others = [
-            math.prod(c for m, c in enumerate(cay_all.T) if m != k)
+            math.prod(c for v, c in enumerate(cay_all.T) if v != k)
             for k in range(n)
         ]
         for ci, (i, t) in enumerate(pins, start=pin_base):
             # the mirror image of z - t about the axis has the same modulus
-            qd = 2.0 * _offset_density(z[:, i] - t)
-            density = density + betas[ci] * others[i] * qd
+            density += betas[ci] * others[i] * (2.0 * _offset_density(z[:, i] - t))
         for ci, (i, j) in enumerate(pairs, start=pair_base):
-            dz = z[:, j] - z[:, i]
-            dz_mirror = np.conj(z[:, j]) - z[:, i]
-            qd = _offset_density(dz) + _offset_density(dz_mirror)
-            density = density + betas[ci] * others[j] * qd
+            qd = _offset_density(z[:, j] - z[:, i])
+            qd += _offset_density(np.conj(z[:, j]) - z[:, i])
+            density += betas[ci] * others[j] * qd
         # exact float coincidences (vertex on vertex or on a pin) occur with
         # probability ~0 and make the integrand singular; drop those samples
-        coincide = np.zeros(hi - lo, dtype=bool)
+        coincide = np.zeros(m, dtype=bool)
         for i in range(n):
             for t in boundary_points:
                 coincide |= z[:, i] == complex(t, 0.0)
@@ -547,17 +560,18 @@ def _chunk_sums(
         if np.any(coincide):
             for k in range(n):  # harmless distinct placeholders; zeroed below
                 z[coincide, k] = (k + 1) * 1j
-        block = (
-            _raw_integrand(g, z.real, z.imag, boundary_points) / density
-        ) * prefactor
-        if np.any(coincide):
-            block = np.where(coincide, 0.0, block)
-        vals[lo:hi] = block
+        block = vals[lo : lo + m]
+        raw = _raw_integrand(g, z.real, z.imag, boundary_points)
+        np.divide(raw, density, out=block)
+        block *= prefactor
+        block[coincide] = 0.0
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError(
             f"non-finite integrand sample for {canonical_id(g)}"
         )
-    return float(np.sum(vals)), float(np.sum(vals * vals))
+    total = float(np.sum(vals))
+    vals *= vals
+    return total, float(np.sum(vals))
 
 
 def weight_mc(
@@ -724,7 +738,20 @@ class WeightTable:
         )
 
     def save(self, path: str | Path):
-        Path(path).write_text(json.dumps(self.to_json(), indent=1) + "\n")
+        """Write the table to path atomically: a concurrent reader sees the
+        old file or the new one, never a part of one."""
+        path = Path(path)
+        text = json.dumps(self.to_json(), indent=1) + "\n"
+        # a name no other live process writes, beside path, so that the
+        # replace is a rename within one file system
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @staticmethod
     def load(path: str | Path) -> "WeightTable":

@@ -342,6 +342,50 @@ def test_weight_table_json_round_trip(tmp_path):
     assert loaded.get("1;2;[b2,b1]").mean == -0.5001
 
 
+def test_weight_table_save_that_fails_halfway_keeps_the_old_cache(
+    tmp_path, monkeypatch
+):
+    import builtins
+    import errno
+    import io
+
+    path = tmp_path / "cache.json"
+    old = WeightTable()
+    old.put(WeightEstimate("1;2;[b1,b2]", 0.5001, 0.0008, 1000, 7), Fraction(1, 2))
+    old.save(path)
+    new = WeightTable(old.entries)
+    new.put(WeightEstimate("1;2;[b2,b1]", -0.5001, 0.0008, 1000, 7), Fraction(-1, 2))
+    real_open = builtins.open
+
+    class HalfWriter:
+        """A file on a disk that fills up halfway through the write."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_filling_up(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", open_filling_up)
+    monkeypatch.setattr(io, "open", open_filling_up)
+    with pytest.raises(OSError, match="No space left"):
+        new.save(path)
+    monkeypatch.undo()
+    assert WeightTable.load(path).entries == old.entries
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
 def test_weight_table_last_write_wins():
     table = WeightTable()
     table.put(WeightEstimate("id", 0.4, 0.1, 10, 1), None)
@@ -814,12 +858,21 @@ def _weight_mc_reference(g, samples, seed, boundary_points=(0.0, 1.0)):
 
 
 @pytest.mark.parametrize(
-    "orders, samples, count",
-    # each count leaves a short last chunk, and so a short last block
-    [((1, 2), 2 * CHUNK + 5000, 5), ((3,), CHUNK + 777, 27)],
-    ids=["order-1-2", "order-3"],
+    "orders, samples, count, block",
+    # each count leaves a short last chunk, and so a short last block; an odd
+    # block size starts blocks, and an odd last chunk the parts of its
+    # stream, inside Philox's groups of 4 doubles
+    [
+        ((1, 2), 2 * CHUNK + 5000, 5, weights.BLOCK),
+        ((3,), CHUNK + 777, 27, weights.BLOCK),
+        ((1, 2), CHUNK + 777, 5, 3001),
+    ],
+    ids=["order-1-2", "order-3", "order-1-2-odd-block"],
 )
-def test_weight_mc_is_bit_identical_to_whole_chunk_loop(orders, samples, count):
+def test_weight_mc_is_bit_identical_to_whole_chunk_loop(
+    orders, samples, count, block, monkeypatch
+):
+    monkeypatch.setattr(weights, "BLOCK", block)
     gids = [
         gid for order in orders for gid in _integrand_representatives(order)
         if gid not in CLOSED_SET_ORBITS
@@ -830,6 +883,21 @@ def test_weight_mc_is_bit_identical_to_whole_chunk_loop(orders, samples, count):
         est = _sample_weight(g, samples, 11)
         mean, stderr = _weight_mc_reference(g, samples, 11)
         assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex()), gid
+
+
+def test_chunk_holds_no_chunk_sized_draws():
+    # drawing every uniform of a chunk first takes CHUNK * (3 + 4n) doubles
+    import tracemalloc
+
+    g = parse_id("2;2;[2,b1],[1,b2]")
+    weights._chunk_sums(g, 11, (0.0, 1.0), 0, CHUNK)
+    tracemalloc.start()
+    try:
+        weights._chunk_sums(g, 11, (0.0, 1.0), 0, CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CHUNK * (3 + 4 * g.n) * 8
 
 
 def test_failing_chunk_raises_and_leaves_no_worker_thread(monkeypatch):
