@@ -96,39 +96,70 @@ def _target_order(t: Target) -> tuple[bool, int]:
     return is_boundary(t), abs(t)
 
 
-def orbit_representative(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
-    """The least graph in the orbit of g under relabelling of the aerial
-    vertices and reordering within each star, and the sign of the star
-    reorderings that reach it from g.
+def has_repeated_edge(g: AdmissibleGraph) -> bool:
+    """Whether a star lists one target twice.  The edge's 1-form is then
+    wedged with itself, so the weight is 0, and its two derivatives
+    contract a skew tensor symmetrically, so B_Gamma of skew tensors is 0."""
+    return any(len(set(star)) != len(star) for star in g.stars)
 
-    When every aerial vertex carries the same skew tensor, relabelling leaves
-    B_Gamma unchanged and swapping two edges of a star negates it, so
-    B_Gamma(g) = sign * B_Gamma(representative).  A star with a repeated
-    target makes the sign ambiguous; its operator vanishes for skew tensors.
+
+def _order_key(g: AdmissibleGraph) -> tuple:
+    """g's position in the order of enumerate_graphs."""
+    return tuple(tuple(map(_target_order, star)) for star in g.stars)
+
+
+def orbit(g: AdmissibleGraph, mirror: bool = False) -> tuple[AdmissibleGraph, int]:
+    """(rep, sign): rep is the least image of g, in the order of
+    enumerate_graphs, under relabelling of the aerial vertices and sorting
+    of each star, and with mirror also under the mirror b1 <-> b2.
+
+    sign is the parity of the permutation that takes the edge rows of g
+    (vertex order, then star order) to their images among the rows of rep:
+    moving two stars past each other is odd when both have odd size, and
+    sorting a star adds its inversions.  With every aerial vertex carrying
+    the same skew bivector, B_Gamma(g) = sign * B_Gamma(rep) (no mirror:
+    it transposes B_Gamma).  For weights the rows are those of the Jacobian
+    of the edge angles, whose columns move in pairs, so w(g) = sign * w(rep);
+    the mirror z -> 1 - conj(z) negates each of the 2n edge angles and
+    reverses the orientation of each aerial vertex's half-plane, which adds
+    (-1)^n.
+
+    sign is 0 when two maps reach rep with opposite signs, that is, when g
+    has a symmetry of sign -1, so that B_Gamma(g) or w(g) is its own
+    negative, 0; every member of the orbit then has one.  A repeated edge
+    (has_repeated_edge) leaves the sign undefined.
     """
+    n = g.n
+    odd_size = [len(star) % 2 for star in g.stars]
     best = None
-    for perm in itertools.permutations(range(1, g.n + 1)):
-        stars: list[Star] = [()] * g.n
-        sign = 1
-        for v, star in enumerate(g.stars):
-            mapped = [perm[t - 1] if not is_boundary(t) else t for t in star]
-            keys = [_target_order(t) for t in mapped]
-            inversions = sum(
-                keys[i] > keys[j]
-                for i in range(len(keys))
-                for j in range(i + 1, len(keys))
-            )
-            if inversions % 2:
-                sign = -sign
-            stars[perm[v] - 1] = tuple(sorted(mapped, key=_target_order))
-        order = tuple(tuple(map(_target_order, s)) for s in stars)
-        if best is None or order < best[0]:
-            best = (order, tuple(stars), sign)
-    return AdmissibleGraph(g.n, g.nbar, best[1]), best[2]
+    for swap in ({}, {boundary(1): boundary(2), boundary(2): boundary(1)})[: 1 + mirror]:
+        for perm in itertools.permutations(range(1, n + 1)):
+            odd = n if swap else 0
+            stars: list[tuple] = [()] * n
+            for v, star in enumerate(g.stars):
+                keys = [
+                    _target_order(swap.get(t, t) if is_boundary(t) else perm[t - 1])
+                    for t in star
+                ]
+                odd += sum(a > b for i, a in enumerate(keys) for b in keys[i + 1 :])
+                if odd_size[v]:
+                    odd += sum(odd_size[u] for u in range(v) if perm[u] > perm[v])
+                stars[perm[v] - 1] = tuple(sorted(keys))
+            key = tuple(stars)
+            sign = -1 if odd % 2 else 1
+            if best is None or key < best[0]:
+                best = [key, sign]
+            elif key == best[0] and sign != best[1]:
+                best[1] = 0
+    rep = tuple(tuple(-k if b else k for b, k in star) for star in best[0])
+    return AdmissibleGraph(n, g.nbar, rep), best[1]
 
 
 _ID_RE = re.compile(r"^(\d+);(\d+);(.*)$")
 _STAR_RE = re.compile(r"\[([^\]]*)\]")
+_TARGET = r"\s*b?[0-9]+\s*"
+_STAR = rf"\[(?:{_TARGET}(?:,{_TARGET})*)?\]"
+_STARS_RE = re.compile(rf"(?:{_STAR}(?:,{_STAR})*)?")
 
 
 def canonical_id(g: AdmissibleGraph) -> str:
@@ -148,8 +179,9 @@ def parse_id(text: str) -> AdmissibleGraph:
     if not m:
         raise ValueError(f"malformed graph id {text!r}")
     n, nbar, rest = int(m.group(1)), int(m.group(2)), m.group(3)
+    if not _STARS_RE.fullmatch(rest):
+        raise ValueError(f"malformed graph id {text!r}")
     stars = []
-    consumed = 0
     for sm in _STAR_RE.finditer(rest):
         inner = sm.group(1)
         star = []
@@ -161,7 +193,6 @@ def parse_id(text: str) -> AdmissibleGraph:
                 else:
                     star.append(int(tok))
         stars.append(tuple(star))
-        consumed += 1
     if len(stars) != n:
         raise ValueError(f"graph id {text!r} lists {len(stars)} stars, expected {n}")
     g = AdmissibleGraph(n, nbar, tuple(stars))

@@ -18,10 +18,12 @@ from math import factorial
 
 from deformq.graphs import (
     AdmissibleGraph,
+    _order_key,
     canonical_id,
     enumerate_graphs,
+    has_repeated_edge,
     is_boundary,
-    orbit_representative,
+    orbit,
 )
 from deformq.operators import (
     MultiDiffOp,
@@ -258,43 +260,56 @@ def moyal(
 
 
 def _vanishes_by_rule(g: AdmissibleGraph, top_degree: int) -> bool:
-    """B_Gamma(pi,...,pi) = 0 without building it: a star with a repeated
-    target contracts the skew pi with a symmetric pair of derivatives, and an
-    aerial vertex hit by more edges than pi's top polynomial degree
-    differentiates every component to zero."""
-    edges = g.edges()
-    if len(set(edges)) != len(edges):
+    """B_Gamma(pi,...,pi) = 0 without building it: a repeated edge
+    (has_repeated_edge), or an aerial vertex hit by more edges than pi's top
+    polynomial degree, which differentiates every component to zero."""
+    if has_repeated_edge(g):
         return True
     in_degree = [0] * (g.n + 1)
-    for _, t in edges:
+    for _, t in g.edges():
         if not is_boundary(t):
             in_degree[t] += 1
     return any(k > top_degree for k in in_degree[1:])
+
+
+def _class_operators(
+    pi: PolyVector, n: int
+) -> list[tuple[MultiDiffOp, list[tuple[AdmissibleGraph, int]]]]:
+    """(B_rep, [(g, sign), ...]) for every class of order-n graphs under
+    graphs.orbit whose operator is nonzero, in order of first member, with
+    the members in enumeration order: B_Gamma(g) = sign * B_rep.
+
+    Each class's operator is built once, from its representative.  Graphs
+    that vanish by rule (_vanishes_by_rule) and classes of sign 0, whose
+    operator is B = -B = 0, are never built.
+    """
+    top_degree = max((c.total_degree() for c in pi.components.values()), default=-1)
+    classes: dict[AdmissibleGraph, list[tuple[AdmissibleGraph, int]]] = {}
+    for g in enumerate_graphs(n, 2, 2):
+        if _vanishes_by_rule(g, top_degree):
+            continue
+        rep, sign = orbit(g)
+        if sign:
+            classes.setdefault(rep, []).append((g, sign))
+    out = []
+    for rep, members in classes.items():
+        op = build_b_gamma(rep, [pi] * n, dim=pi.dim)
+        if not op.is_zero:
+            out.append((op, members))
+    return out
 
 
 def graph_operators(
     pi: PolyVector, n: int
 ) -> list[tuple[AdmissibleGraph, MultiDiffOp]]:
     """(graph, B_Gamma(pi,...,pi)) for every order-n graph with a nonzero
-    operator, in enumeration order.
-
-    B_Gamma is built once per orbit_representative; every other member of
-    the orbit gets the representative's operator or its negative.  Graphs
-    that vanish by rule (_vanishes_by_rule) are never built.
-    """
-    top_degree = max((c.total_degree() for c in pi.components.values()), default=-1)
-    built: dict[AdmissibleGraph, tuple[MultiDiffOp, MultiDiffOp]] = {}
+    operator, in enumeration order: the members of _class_operators, each
+    with its class's operator or its negative."""
     out = []
-    for g in enumerate_graphs(n, 2, 2):
-        if _vanishes_by_rule(g, top_degree):
-            continue
-        rep, sign = orbit_representative(g)
-        if rep not in built:
-            op = build_b_gamma(rep, [pi] * n, dim=pi.dim)
-            built[rep] = (op, -op)
-        op = built[rep][sign < 0]
-        if not op.is_zero:
-            out.append((g, op))
+    for op, members in _class_operators(pi, n):
+        neg = -op
+        out.extend((g, op if sign > 0 else neg) for g, sign in members)
+    out.sort(key=lambda pair: _order_key(pair[0]))
     return out
 
 
@@ -325,9 +340,8 @@ def band_weights(table: WeightTable) -> Callable[[str], Interval | None]:
 def class_rows(
     pi: PolyVector, n: int, weight: Callable[[str], Interval | None]
 ) -> list[tuple[Interval, MultiDiffOp]]:
-    """The h^n star coefficient as rows (W_c, B_c / n!), one per orbit c of
-    graph_operators(pi, n) under orbit_representative; a class whose W_c is
-    the point 0 is left out.
+    """The h^n star coefficient as rows (W_c, B_c / n!), one per class c of
+    _class_operators(pi, n); a class whose W_c is the point 0 is left out.
 
     B_c is the representative's operator and W_c = sum_{g in c} sign_g *
     weight(id of g) reads every member's own entry, so an inconsistent table
@@ -337,26 +351,26 @@ def class_rows(
     """
     if n == 0:
         return [(_UNIT, MultiDiffOp.multiplication(pi.dim))]
-    classes: dict[AdmissibleGraph, list] = {}
-    missing = []
-    for g, op in graph_operators(pi, n):
-        gid = canonical_id(g)
-        w = weight(gid)
-        if w is None:
-            missing.append(gid)
-            continue
-        rep, sign = orbit_representative(g)
-        if rep not in classes:
-            classes[rep] = [0, 0, op if sign > 0 else -op]
-        row = classes[rep]
-        row[0] += sign * w[0]
-        row[1] += w[1]
-    if missing:
-        raise MissingWeightError(
-            f"no snapped weight for graphs: {', '.join(missing)}"
-        )
     scale = Fraction(1, factorial(n))
-    return [((c, r), op.scale(scale)) for c, r, op in classes.values() if c or r]
+    rows = []
+    missing = []
+    for op, members in _class_operators(pi, n):
+        centre = radius = 0
+        for g, sign in members:
+            w = weight(canonical_id(g))
+            if w is None:
+                missing.append(g)
+                continue
+            centre += sign * w[0]
+            radius += w[1]
+        if centre or radius:
+            rows.append(((centre, radius), op.scale(scale)))
+    if missing:
+        missing.sort(key=_order_key)
+        raise MissingWeightError(
+            f"no snapped weight for graphs: {', '.join(map(canonical_id, missing))}"
+        )
+    return rows
 
 
 def kontsevich_star_series(

@@ -19,7 +19,7 @@ the integrand, that order-1 normalization, closed vertex sets, odd
 automorphisms and the mirror) exactly, without sampling; every other weight
 it estimates with _sample_weight, the Monte-Carlo sampler described below.
 Estimates are made once per class of graphs under relabelling, star
-reordering and the mirror b1 <-> b2 (weight_orbit).
+reordering and the mirror b1 <-> b2 (graphs.orbit with the mirror).
 
 The Jacobian is never stored densely.  An edge row has nonzero entries only
 in the columns of its endpoints: 2 for an edge to a boundary point, 4 for an
@@ -81,10 +81,11 @@ from pathlib import Path
 
 from deformq.graphs import (
     AdmissibleGraph,
-    _target_order,
     boundary,
     canonical_id,
+    has_repeated_edge,
     is_boundary,
+    orbit,
 )
 from deformq.record import Frozen, Record
 
@@ -315,47 +316,6 @@ def _heavy_points(u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _images(g: AdmissibleGraph):
-    """(h, sign, mirrored) for every relabelling of the aerial vertices of a
-    graph with two boundary vertices, without and then with the mirror
-    b1 <-> b2, where h is the image with each star in target order and
-    w(h) = sign * w(g).
-
-    The image of an edge is an edge of h, so the images of the Jacobian rows
-    of g are a permutation of the rows of h; its parity is the sign of a
-    relabelling (the columns move in pairs, which is sign-free).  The mirror
-    z -> 1 - conj(z) swaps the pins 0 and 1, negates each of the 2n edge
-    angles (sign-free) and reverses the orientation of each aerial vertex's
-    half-plane, which adds (-1)^n.  A repeated edge leaves the sign undefined; such graphs weigh 0.
-    """
-    n = g.n
-    edges = g.edges()
-    for mirrored in (False, True):
-        swap = {boundary(1): boundary(2), boundary(2): boundary(1)} if mirrored else {}
-        for perm in itertools.permutations(range(1, n + 1)):
-
-            def image(t: int) -> int:
-                return swap.get(t, t) if is_boundary(t) else perm[t - 1]
-
-            stars: list[tuple[int, ...]] = [()] * n
-            for v, star in enumerate(g.stars):
-                stars[perm[v] - 1] = tuple(sorted(map(image, star), key=_target_order))
-            h = AdmissibleGraph(n, g.nbar, tuple(stars))
-            rows = h.edges()
-            moved = [rows.index((perm[src - 1], image(t))) for src, t in edges]
-            inversions = sum(
-                moved[i] > moved[j]
-                for i in range(len(moved))
-                for j in range(i + 1, len(moved))
-            )
-            odd = (inversions + (n if mirrored else 0)) % 2
-            yield h, -1 if odd else 1, mirrored
-
-
-def _order_key(g: AdmissibleGraph) -> tuple:
-    return tuple(tuple(map(_target_order, star)) for star in g.stars)
-
-
 def _closed_set(g: AdmissibleGraph) -> bool:
     """Whether a nonempty set S of aerial vertices sends at least 2|S| edges,
     all into S and one boundary vertex.
@@ -394,17 +354,17 @@ def weight_rule(g: AdmissibleGraph) -> tuple[str, Fraction] | None:
         B_1 the Poisson bracket, and [b2,b1] weighs -1/2;
       - closed set: see _closed_set; gives 0;
       - odd automorphism: a relabelling (with star reorderings) that maps g
-        to itself with sign -1 gives w = -w = 0;
-      - mirror zero: likewise for a relabelling composed with the mirror.
+        to itself with sign -1 gives w = -w = 0, seen as orbit sign 0;
+      - mirror zero: likewise for a relabelling composed with the mirror,
+        seen as sign 0 of the orbit with the mirror.
     """
     if not g.has_required_edge_count():
         return "edge count", Fraction(0)
-    edges = g.edges()
-    if len(set(edges)) != len(edges):
+    if has_repeated_edge(g):
         return "repeated edge", Fraction(0)
     if g.n == 0:
         return "empty graph", Fraction(1)
-    targets = {t for _, t in edges}
+    targets = {t for _, t in g.edges()}
     if any(boundary(k) not in targets for k in range(1, g.nbar + 1)):
         return "unreached boundary", Fraction(0)
     if g.nbar != 2:
@@ -413,13 +373,8 @@ def weight_rule(g: AdmissibleGraph) -> tuple[str, Fraction] | None:
         return "order 1", Fraction(1 if g.stars[0] == (boundary(1), boundary(2)) else -1, 2)
     if _closed_set(g):
         return "closed set", Fraction(0)
-    # the first image is g's own, with its stars sorted; another map that
-    # reaches it with the other sign is a symmetry of sign -1
-    images = _images(g)
-    own, own_sign, _ = next(images)
-    for h, sign, mirrored in images:
-        if sign != own_sign and h.stars == own.stars:
-            return "mirror zero" if mirrored else "odd automorphism", Fraction(0)
+    if orbit(g, mirror=True)[1] == 0:
+        return "odd automorphism" if orbit(g)[1] == 0 else "mirror zero", Fraction(0)
     return None
 
 
@@ -427,17 +382,6 @@ def structural_weight(g: AdmissibleGraph) -> Fraction | None:
     """The weight of a graph that is exact by rule (weight_rule), else None."""
     rule = weight_rule(g)
     return None if rule is None else rule[1]
-
-
-def weight_orbit(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
-    """(rep, sign) with w(g) = sign * w(rep): rep is the least image of g
-    under relabelling, star reordering and the mirror (see _images).
-
-    A graph with a sign -1 symmetry weighs 0 by rule, so for every graph
-    that is estimated the sign does not depend on the map that reaches rep.
-    """
-    rep, sign, _ = min(_images(g), key=lambda image: _order_key(image[0]))
-    return rep, sign
 
 
 def _usable_cpus() -> int:
@@ -779,8 +723,8 @@ def estimate_and_snap(
     """Estimate with quadrupling sample counts until snapping is unambiguous.
 
     A graph with a structural_weight returns it directly.  Any other graph
-    is estimated through its weight_orbit representative (over relabelling,
-    star reordering and the mirror), with the stream key graph_seed(seed,
+    is estimated through its orbit representative (over relabelling, star
+    reordering and the mirror), with the stream key graph_seed(seed,
     representative id), and the result comes back under g's id with the
     orbit sign applied to the mean and the snapped value.
     Callers passing the same `memo` dict (with the same other arguments)
@@ -791,7 +735,7 @@ def estimate_and_snap(
     exact = structural_weight(g)
     if exact is not None:
         return weight_mc(g, initial_samples, graph_seed(seed, gid)), exact
-    rep, sign = weight_orbit(g)
+    rep, sign = orbit(g, mirror=True)
     rid = canonical_id(rep)
     memo = {} if memo is None else memo
     if rid not in memo:

@@ -9,6 +9,7 @@ import pytest
 
 from deformq import cli, starprod, weights
 from deformq.cli import load_poisson, main, save_poisson
+from deformq.graphs import orbit
 from deformq.polyalg import Polynomial, PolyVector
 
 
@@ -154,6 +155,14 @@ def test_weight_samples_floor_in_table_mode(tmp_path):
 def test_weight_malformed_id(capsys, tmp_path):
     code = main(["weight", "--graph", "junk", "--cache", str(tmp_path / "w.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("gid", ["1;2;junk[b1,b2]", "1;2;[b1,b2]xyz"])
+def test_weight_rejects_text_outside_the_stars(capsys, tmp_path, gid):
+    cache = tmp_path / "w.json"
+    code = main(["weight", "--graph", gid, "--cache", str(cache)])
+    assert code == 2
+    assert not cache.exists()
 
 
 def _forbid_monte_carlo(monkeypatch):
@@ -735,13 +744,13 @@ def test_check_assoc_mc_mode_builds_operators_once_per_order(
     capsys, so3_file, monkeypatch
 ):
     calls = []
-    real = starprod.graph_operators
+    real = starprod._class_operators
 
     def counting(pi, n):
         calls.append(n)
         return real(pi, n)
 
-    monkeypatch.setattr(starprod, "graph_operators", counting)
+    monkeypatch.setattr(starprod, "_class_operators", counting)
     code, out = run(
         capsys,
         ["check", "assoc", "--pi", so3_file, "--order", "2",
@@ -772,7 +781,7 @@ def test_check_assoc_mc_mode_estimates_once_per_orbit(
     # three order-2 orbits, not the 38 labelled graphs: order 1 is exact by
     # rule, and the mirror folds the -1/12 and 1/12 classes into one
     assert len(estimated) == 3
-    assert all(weights.weight_orbit(g) == (g, 1) for g in estimated)
+    assert all(orbit(g, mirror=True) == (g, 1) for g in estimated)
 
 
 def test_check_assoc_mc_mode_rejects_non_poisson(capsys, tmp_path):

@@ -7,8 +7,10 @@ from deformq.graphs import (
     boundary,
     canonical_id,
     enumerate_graphs,
+    has_repeated_edge,
     is_admissible,
-    orbit_representative,
+    is_boundary,
+    orbit,
     parse_id,
 )
 
@@ -102,6 +104,7 @@ def test_id_round_trip():
     for g in enumerate_graphs(2, 2, 2):
         assert parse_id(canonical_id(g)) == g
     assert parse_id("0;2;") == AdmissibleGraph(0, 2, ())
+    assert parse_id("1;2;[ b1, b2 ]") == wedge()
 
 
 def test_distinct_star_orderings_get_distinct_ids():
@@ -124,20 +127,142 @@ def test_parse_rejects_malformed():
         parse_id("1;2;[1,b1]")  # self loop
 
 
-def test_orbit_representative_is_constant_on_orbits():
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1;2;junk[b1,b2]",
+        "1;2;[b1,b2]xyz",
+        "2;2;[2,b1] [b1,b2]",
+        "2;2;[2,b1],,[b1,b2]",
+        "1;2;[-1,-2]",  # b1, b2 written as their integer codes
+        "1;2;[b1,b_2]",
+    ],
+)
+def test_parse_rejects_text_canonical_id_never_writes(text):
+    with pytest.raises(ValueError, match="malformed graph id"):
+        parse_id(text)
+
+
+def test_orbit_is_constant_on_orbits():
     graphs = enumerate_graphs(2, 2, 2)
     reps = {}
     for g in graphs:
-        rep, sign = orbit_representative(g)
+        rep, sign = orbit(g)
         assert sign in (1, -1)
-        assert orbit_representative(rep) == (rep, 1)
+        assert orbit(rep) == (rep, 1)
         # swapping vertex labels and both stars' edges stays in the orbit
         swapped = AdmissibleGraph(
             2, 2, tuple(tuple({1: 2, 2: 1}.get(t, t) for t in reversed(s))
                         for s in reversed(g.stars))
         )
-        assert orbit_representative(swapped)[0] == rep
+        assert orbit(swapped)[0] == rep
         reps.setdefault(rep, []).append(g)
     assert sum(map(len, reps.values())) == len(graphs)
-    assert orbit_representative(wedge()) == (wedge(), 1)
-    assert orbit_representative(AdmissibleGraph(1, 2, ((b2, b1),))) == (wedge(), -1)
+    assert orbit(wedge()) == (wedge(), 1)
+    assert orbit(AdmissibleGraph(1, 2, ((b2, b1),))) == (wedge(), -1)
+
+
+def _target_order(t):
+    return is_boundary(t), abs(t)
+
+
+def _least(images):
+    """(rep, sign) from (h, sign) pairs: the least h, and the sign every pair
+    reaching it shares, or 0 when they disagree."""
+    found = {}
+    for h, sign in images:
+        key = tuple(tuple(map(_target_order, s)) for s in h.stars)
+        found.setdefault(key, (h, set()))[1].add(sign)
+    rep, signs = found[min(found)]
+    return rep, signs.pop() if len(signs) == 1 else 0
+
+
+def _star_swap_images(g):
+    """The relabelling loop orbit() replaced on the operator side: each
+    relabelling with its stars sorted, signed by the star sorts alone."""
+    for perm in itertools.permutations(range(1, g.n + 1)):
+        stars = [()] * g.n
+        sign = 1
+        for v, star in enumerate(g.stars):
+            mapped = [perm[t - 1] if not is_boundary(t) else t for t in star]
+            keys = [_target_order(t) for t in mapped]
+            inversions = sum(
+                keys[i] > keys[j]
+                for i in range(len(keys))
+                for j in range(i + 1, len(keys))
+            )
+            if inversions % 2:
+                sign = -sign
+            stars[perm[v] - 1] = tuple(sorted(mapped, key=_target_order))
+        yield AdmissibleGraph(g.n, g.nbar, tuple(stars)), sign
+
+
+def _jacobian_row_images(g):
+    """The relabelling loop orbit() replaced on the weight side: each
+    relabelling, without and then with the mirror, signed by the parity of
+    the Jacobian rows it moves, plus n for the mirror."""
+    n = g.n
+    edges = g.edges()
+    for mirrored in (False, True):
+        swap = {b1: b2, b2: b1} if mirrored else {}
+        for perm in itertools.permutations(range(1, n + 1)):
+
+            def image(t):
+                return swap.get(t, t) if is_boundary(t) else perm[t - 1]
+
+            stars = [()] * n
+            for v, star in enumerate(g.stars):
+                stars[perm[v] - 1] = tuple(sorted(map(image, star), key=_target_order))
+            h = AdmissibleGraph(n, g.nbar, tuple(stars))
+            rows = h.edges()
+            moved = [rows.index((perm[src - 1], image(t))) for src, t in edges]
+            inversions = sum(
+                moved[i] > moved[j]
+                for i in range(len(moved))
+                for j in range(i + 1, len(moved))
+            )
+            yield h, -1 if (inversions + (n if mirrored else 0)) % 2 else 1
+
+
+def _graphs_without_repeated_edges(order):
+    return [g for g in enumerate_graphs(order, 2, 2) if not has_repeated_edge(g)]
+
+
+def _two_vertex_graphs():
+    """Every two-vertex graph with 4 edges in stars of any sizes and no
+    repeated edge."""
+    out = []
+    for size in range(5):
+        for first in itertools.permutations([2, b1, b2], size):
+            for second in itertools.permutations([1, b1, b2], 4 - size):
+                out.append(AdmissibleGraph(2, 2, (first, second)))
+    return out
+
+
+def test_orbit_matches_the_star_swap_loop():
+    graphs = [g for n in (1, 2, 3) for g in _graphs_without_repeated_edges(n)]
+    assert len(graphs) == 2 + 36 + 1728
+    zero = 0
+    for g in graphs:
+        want = _least(_star_swap_images(g))
+        assert orbit(g) == want, canonical_id(g)
+        zero += want[1] == 0
+    assert zero > 0
+
+
+def test_orbit_with_mirror_matches_the_jacobian_row_loop():
+    graphs = [g for n in (1, 2, 3) for g in _graphs_without_repeated_edges(n)]
+    graphs += _two_vertex_graphs()
+    signs = set()
+    for g in graphs:
+        want = _least(_jacobian_row_images(g))
+        assert orbit(g, mirror=True) == want, canonical_id(g)
+        signs.add(want[1])
+    assert signs == {-1, 0, 1}
+
+
+def test_has_repeated_edge():
+    assert has_repeated_edge(AdmissibleGraph(1, 2, ((b1, b1),)))
+    assert has_repeated_edge(AdmissibleGraph(2, 2, ((b1, b2), (b2, b1, b2))))
+    assert not has_repeated_edge(AdmissibleGraph(2, 2, ((2, b1), (b1, b2))))
+    assert sum(map(has_repeated_edge, enumerate_graphs(2, 2, 2))) == 81 - 36

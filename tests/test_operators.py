@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from deformq import starprod
 from deformq.graphs import (
     AdmissibleGraph,
     boundary,
     enumerate_graphs,
     is_boundary,
-    orbit_representative,
+    orbit,
 )
 from deformq.operators import (
     MultiDiffOp,
@@ -346,12 +347,33 @@ def test_orbit_sign_law():
     assert build_b_gamma(one_swap, [pi, pi]) == -op
     two_swaps = AdmissibleGraph(2, 2, ((b1, 2), (b2, b1)))
     assert build_b_gamma(two_swaps, [pi, pi]) == op
-    rep = orbit_representative(g)[0]
+    rep = orbit(g)[0]
     for member, sign in [(g, 1), (relabelled, 1), (one_swap, -1), (two_swaps, 1)]:
         member_op = op if sign > 0 else -op
-        member_rep, rep_sign = orbit_representative(member)
+        member_rep, rep_sign = orbit(member)
         assert member_rep == rep
         assert build_b_gamma(rep, [pi, pi]) == (member_op if rep_sign > 0 else -member_op)
+
+
+def test_classes_with_an_odd_symmetry_are_never_built(monkeypatch):
+    # a graph with a symmetry of sign -1 has B = -B = 0, so orbit sign 0
+    # classes are skipped: 38 operators built at order 3, not 44
+    odd = {rep for rep, sign in map(orbit, enumerate_graphs(3, 2, 2)) if sign == 0}
+    assert odd
+    pi = STRUCTURES["plane-quadratic"]
+    for structure in (so3_bivector(), pi):
+        for rep in odd:
+            assert build_b_gamma(rep, [structure] * 3).is_zero
+    calls = []
+
+    def counting(g, xs, dim=None):
+        calls.append(g)
+        return build_b_gamma(g, xs, dim=dim)
+
+    monkeypatch.setattr(starprod, "build_b_gamma", counting)
+    graph_operators(pi, 3)
+    assert len(calls) == 38
+    assert not odd & set(calls)
 
 
 def test_build_b_gamma_distinct_tensors_of_mixed_degree():

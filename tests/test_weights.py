@@ -11,7 +11,7 @@ from deformq.graphs import (
     boundary,
     canonical_id,
     is_boundary,
-    orbit_representative,
+    orbit,
     parse_id,
 )
 from deformq.starprod import star_graphs
@@ -40,7 +40,6 @@ from deformq.weights import (
     snap,
     structural_weight,
     weight_mc,
-    weight_orbit,
     weight_rule,
 )
 
@@ -468,7 +467,7 @@ def _integrand_sizes(ids, n=2, seed=2024, count=1000):
 def test_unreached_boundary_vertex_integrand_vanishes():
     members = [
         canonical_id(g) for g in star_graphs(2)
-        if canonical_id(weight_orbit(g)[0]) in NOISE_ZERO_ORBITS
+        if canonical_id(orbit(g, mirror=True)[0]) in NOISE_ZERO_ORBITS
     ]
     assert len(members) == 8
     sizes = _integrand_sizes(members + ["2;2;[2,b1],[1,b2]"])
@@ -488,7 +487,7 @@ def test_unreached_boundary_vertex_is_structural_zero():
 def test_estimate_and_snap_returns_signed_representative_estimate():
     # the member is the representative's mirror with its second star swapped
     rep, member = "2;2;[2,b1],[b1,b2]", "2;2;[2,b2],[b1,b2]"
-    assert weight_orbit(parse_id(member)) == (parse_id(rep), -1)
+    assert orbit(parse_id(member), mirror=True) == (parse_id(rep), -1)
     rep_est, rep_val = estimate_and_snap(parse_id(rep), 7)
     est, val = estimate_and_snap(parse_id(member), 7)
     assert est.graph == member and rep_est.graph == rep
@@ -507,7 +506,7 @@ def test_relabelling_odd_stars_flips_the_sign():
 
     g = parse_id("2;2;[b1],[1,b1,b2]")
     relabelled = parse_id("2;2;[2,b1,b2],[b1]")
-    assert weight_orbit(g) == (relabelled, -1)
+    assert orbit(g, mirror=True) == (relabelled, -1)
     rng = np.random.default_rng(5)
     a, b = rng.uniform(-2, 2, (50, 2)), rng.uniform(0.3, 2, (50, 2))
     got = _raw_integrand(g, a, b, (0.0, 1.0))
@@ -520,7 +519,7 @@ def test_committed_table_is_signed_consistent_on_orbits():
     table = WeightTable.load(CACHE)
     assert len(table.entries) == 85
     for gid in table.entries:
-        rep, sign = weight_orbit(parse_id(gid))
+        rep, sign = orbit(parse_id(gid), mirror=True)
         assert table.exact(gid) == sign * table.exact(canonical_id(rep)), gid
 
 
@@ -549,7 +548,7 @@ def test_committed_table_obeys_every_rule():
 def test_integrand_mirror_identity():
     # z -> 1 - conj(z) swaps the pins 0 and 1 and negates every edge angle:
     # the mirrored graph's integrand at the mirrored points is (-1)^n times,
-    # and weight_orbit folds the mirror with that sign
+    # and orbit with the mirror folds it with that sign
     import numpy as np
 
     checked = 0
@@ -561,8 +560,8 @@ def test_integrand_mirror_identity():
             want = (-1) ** order * _raw_integrand(g, z.real, z.imag, (0.0, 1.0))
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12), canonical_id(g)
             if structural_weight(g) is None:
-                rep, sign = weight_orbit(g)
-                assert weight_orbit(mirror) == (rep, (-1) ** order * sign)
+                rep, sign = orbit(g, mirror=True)
+                assert orbit(mirror, mirror=True) == (rep, (-1) ** order * sign)
             checked += 1
     assert checked == 2 + 28 + 1304
 
@@ -610,7 +609,7 @@ def test_build_weight_table_estimates_each_orbit_once(monkeypatch):
     monkeypatch.setattr(weights, "weight_mc", stub)
     table = build_weight_table(star_graphs(2), seed=2024)
     assert sorted(estimated) == sorted(
-        {canonical_id(weight_orbit(g)[0]) for g in star_graphs(2)
+        {canonical_id(orbit(g, mirror=True)[0]) for g in star_graphs(2)
          if structural_weight(g) is None}
     )
     assert len(estimated) == 3
@@ -694,12 +693,12 @@ def _integrand_graphs(order):
 
 
 def _integrand_representatives(order):
-    """Ids of the orbit_representative graphs of _integrand_graphs(order):
+    """Ids of the orbit (no mirror) representatives of _integrand_graphs(order):
     for order 1 the wedge, for order 2 the four classes whose Monte-Carlo
     estimates the stream pins fix, for order 3 the 31 classes before any
     closed-set or symmetry rule."""
     return sorted(
-        {canonical_id(orbit_representative(g)[0]) for g in _integrand_graphs(order)}
+        {canonical_id(orbit(g)[0]) for g in _integrand_graphs(order)}
     )
 
 
