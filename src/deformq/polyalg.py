@@ -237,6 +237,8 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
         first = False
     if buf:
         chunks.append((sign, " ".join(buf)))
+    elif chunks:  # a sign after the last term
+        raise ValueError(f"dangling sign in {text!r}")
     if not chunks:
         raise ValueError(f"no terms in {text!r}")
 

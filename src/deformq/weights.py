@@ -57,15 +57,17 @@ each part of the chunk's stream (component, Cayley, heavy, offset radius
 and offset angle uniforms) is read from its own position without drawing
 what lies before it.  A chunk holds its sample values and one block's
 temporaries, never the uniforms of the whole chunk.  The chunks run on a
-thread pool with one worker per usable core (numpy releases the
-interpreter lock inside its kernels); each chunk sums its own samples, and
-the chunk sums are combined by pairwise summation in chunk order.  Nothing
-a sum depends on varies with the block or the worker, so estimates are
-bit-identical for any number of cores.
+pool of worker processes forked from the caller, one per usable core (a
+chunk is many small numpy calls, and threads would trade the interpreter
+lock between each pair of them); each chunk sums its own samples, the
+workers send back the two sums, and the chunk sums are combined by
+pairwise summation in chunk order.  Nothing a sum depends on varies with
+the block or the worker, so estimates are bit-identical for any number of
+cores.
 
-numpy is imported inside the Monte-Carlo functions, not at module level, so
-the exact-algebra commands (star and check assoc on a warm cache) start
-without loading it.
+numpy and the process pool are imported inside the Monte-Carlo functions,
+not at module level, so the exact-algebra commands (star and check assoc on
+a warm cache) start without loading them.
 """
 
 from __future__ import annotations
@@ -550,16 +552,25 @@ def _sample_weight(
     Identical (graph, samples, seed) inputs give bit-identical estimates on
     any number of cores.
     """
-    sizes = [min(CHUNK, samples - done) for done in range(0, samples, CHUNK)]
-    from concurrent.futures import ThreadPoolExecutor
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    # numpy releases the interpreter lock inside its kernels, so chunks run
-    # in parallel; map yields them in chunk order and, when one raises,
+    import numpy.random  # noqa: F401 - loaded once here, not again in each worker
+
+    sizes = [min(CHUNK, samples - done) for done in range(0, samples, CHUNK)]
+    # forked workers inherit this module as it stands, patched names
+    # included; map yields the sums in chunk order and, when a chunk raises,
     # cancels the chunks that have not started
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(sizes))) as pool:
+    with ProcessPoolExecutor(
+        max_workers=min(_usable_cpus(), len(sizes)),
+        mp_context=multiprocessing.get_context("fork"),
+    ) as pool:
         sums = list(
             pool.map(
-                lambda index, size: _chunk_sums(g, seed, boundary_points, index, size),
+                _chunk_sums,
+                itertools.repeat(g),
+                itertools.repeat(seed),
+                itertools.repeat(boundary_points),
                 range(len(sizes)),
                 sizes,
             )

@@ -347,6 +347,15 @@ def test_star_parse_failure(capsys, so3_file, cache_arg):
     assert code == 2
 
 
+@pytest.mark.parametrize("f", ["x1 +", "x1 -"])
+def test_star_rejects_a_trailing_sign(capsys, so3_file, cache_arg, f):
+    code = main(["star", "--pi", so3_file, "--f", f, "--g", "x2"] + cache_arg)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dangling sign" in captured.err
+
+
 def test_star_order_guard(capsys, so3_file, cache_arg):
     code = main(
         ["star", "--pi", so3_file, "--f", "x1", "--g", "x2", "--order", "4"]
@@ -827,12 +836,13 @@ def test_warm_star_and_check_assoc_do_not_import_numpy(so3_file, weight_cache_pa
         " '--cache', cache]) == 0\n"
         "print(*(m in sys.modules for m in"
         " ('numpy', 'deformq.linsymp', 'dataclasses', 'inspect',"
-        " 'concurrent.futures')),"
+        " 'concurrent.futures', 'multiprocessing',"
+        " 'concurrent.futures.process')),"
         " file=sys.stderr)\n"
     )
     proc = _deformq_subprocess(script, so3_file, weight_cache_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "False False False False False\n"
+    assert proc.stderr == "False False False False False False False\n"
 
 
 def test_check_assoc_non_poisson_prints_one_warning_line(tmp_path, weight_cache_path):

@@ -164,6 +164,14 @@ def test_parse_rejects_garbage():
         parse_polynomial("", 2)
 
 
+@pytest.mark.parametrize(
+    "text", ["x1 +", "x1 -", "x1 + x2 -", "x1 + + x2", "x1 - - x2"]
+)
+def test_parse_rejects_a_dangling_sign(text):
+    with pytest.raises(ValueError, match="dangling sign"):
+        parse_polynomial(text, 2)
+
+
 # ---------------------------------------------------------------------------
 # Schouten bracket
 # ---------------------------------------------------------------------------

@@ -765,7 +765,7 @@ def test_weight_mc_keeps_its_sample_stream():
 
 def _weight_mc_reference(g, samples, seed, boundary_points=(0.0, 1.0)):
     """(mean, stderr) from one serial loop that evaluates each chunk whole:
-    the reference for the blocks and worker threads of _sample_weight."""
+    the reference for the blocks and worker processes of _sample_weight."""
     import numpy as np
 
     n = g.n
@@ -884,6 +884,20 @@ def test_weight_mc_is_bit_identical_to_whole_chunk_loop(
         assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex()), gid
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_weight_mc_gives_the_same_bits_for_any_worker_count(workers, monkeypatch):
+    # four chunks, the last one short: three workers do not divide them evenly
+    monkeypatch.setattr(weights, "_usable_cpus", lambda: workers)
+    samples = 3 * CHUNK + 5000
+    for gid in _integrand_representatives(1) + _integrand_representatives(2):
+        if gid in CLOSED_SET_ORBITS:
+            continue
+        g = parse_id(gid)
+        est = _sample_weight(g, samples, 11)
+        mean, stderr = _weight_mc_reference(g, samples, 11)
+        assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex()), gid
+
+
 def test_chunk_holds_no_chunk_sized_draws():
     # drawing every uniform of a chunk first takes CHUNK * (3 + 4n) doubles
     import tracemalloc
@@ -899,7 +913,8 @@ def test_chunk_holds_no_chunk_sized_draws():
     assert peak < CHUNK * (3 + 4 * g.n) * 8
 
 
-def test_failing_chunk_raises_and_leaves_no_worker_thread(monkeypatch):
+def test_failing_chunk_raises_and_leaves_no_worker(monkeypatch):
+    import multiprocessing
     import threading
 
     import numpy as np
@@ -914,7 +929,9 @@ def test_failing_chunk_raises_and_leaves_no_worker_thread(monkeypatch):
     before = threading.active_count()
     _sample_weight(WEDGE, 3 * CHUNK + short, 3)
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
     monkeypatch.setattr(weights, "_raw_integrand", inf_in_last_chunk)
     with pytest.raises(FloatingPointError, match=r"1;2;\[b1,b2\]"):
         _sample_weight(WEDGE, 3 * CHUNK + short, 3)
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
