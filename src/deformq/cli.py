@@ -3,6 +3,11 @@
 All outputs are UTF-8 JSON on stdout.  Exit codes: 0 pass, 1 check failure,
 2 usage/parse error.  The weight cache path resolves flag > DEFORMQ_CACHE
 environment variable > ./weights_cache.json.
+
+The parsed arguments are the only configuration; every default lives in
+`_add_common`.  Each command checks only the options it reads: `weight`,
+`star` and `check assoc` (alias `assoc`) the weight options (`_weight_cache`),
+and every command that reads `--order` its range (`_order`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from deformq.polyalg import (
     jacobiator,
     parse_polynomial,
 )
-from deformq.record import Record
 from deformq.starprod import (
     MissingWeightError,
     associator_bound,
@@ -67,71 +71,38 @@ class CheckFailure(Exception):
     pass
 
 
-class RunConfig(Record):
-    __slots__ = (
-        "order", "samples", "seed", "weights_mode", "max_denominator", "cache_path"
-    )
-
-    def __init__(
-        self,
-        order: int = 2,
-        samples: int = 1_000_000,
-        seed: int = 2024,
-        weights_mode: str = "table",
-        max_denominator: int = 24,
-        cache_path: Path = Path(DEFAULT_CACHE),
-    ):
-        self.order = order
-        self.samples = samples
-        self.seed = seed
-        self.weights_mode = weights_mode
-        self.max_denominator = max_denominator
-        self.cache_path = cache_path
-
-    def validate(self):
-        if self.order > 3:
-            raise UsageError("--order above 3 is outside the weight table scope")
-        if self.order < 0:
-            raise UsageError("--order must be nonnegative")
-        if self.samples < 10_000:
-            raise UsageError("--samples must be at least 10000")
-        if self.samples > MAX_SAMPLES:
-            # table mode escalates from --samples up to this cap
-            raise UsageError(f"--samples must be at most {MAX_SAMPLES}")
-        if not 0 <= self.seed < 1 << 32:
-            # graph_seed puts the seed in the high half of a 64-bit stream key
-            raise UsageError("--seed must be in [0, 2**32)")
-        if self.weights_mode not in ("table", "mc"):
-            raise UsageError("--weights must be 'table' or 'mc'")
-        if self.max_denominator < 1:
-            raise UsageError("--max-denominator must be at least 1")
-
-    @property
-    def max_samples(self) -> int:
-        """mc mode estimates at exactly --samples; table mode escalates."""
-        return self.samples if self.weights_mode == "mc" else MAX_SAMPLES
+def _order(args, top: int | None = None) -> int:
+    """--order, refused when negative or, for a command that reads graph
+    weights, above the `top` order they are derived for."""
+    if args.order < 0:
+        raise UsageError("--order must be nonnegative")
+    if top is not None and args.order > top:
+        # order 3 would mean Monte Carlo on ~1700 graphs
+        raise UsageError(
+            f"--order {args.order} needs order-{args.order} graph weights, not derived"
+        )
+    return args.order
 
 
-def _resolve_cache(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(ENV_CACHE)
-    if env:
-        return Path(env)
-    return Path(DEFAULT_CACHE)
+def _weight_cache(args) -> Path:
+    """Refuse the weight options no estimate can use, before any work, and
+    resolve the cache path: flag > DEFORMQ_CACHE > ./weights_cache.json."""
+    if args.samples < 10_000:
+        raise UsageError("--samples must be at least 10000")
+    if args.samples > MAX_SAMPLES:
+        # table mode escalates from --samples up to this cap
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}")
+    if not 0 <= args.seed < 1 << 32:
+        # graph_seed puts the seed in the high half of a 64-bit stream key
+        raise UsageError("--seed must be in [0, 2**32)")
+    if args.max_denominator < 1:
+        raise UsageError("--max-denominator must be at least 1")
+    return Path(args.cache or os.environ.get(ENV_CACHE) or DEFAULT_CACHE)
 
 
-def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        order=getattr(args, "order", 2),
-        samples=getattr(args, "samples", 1_000_000),
-        seed=getattr(args, "seed", 2024),
-        weights_mode=getattr(args, "weights", "table"),
-        max_denominator=getattr(args, "max_denominator", 24),
-        cache_path=_resolve_cache(getattr(args, "cache", None)),
-    )
-    cfg.validate()
-    return cfg
+def _max_samples(args) -> int:
+    """mc mode estimates at exactly --samples; table mode escalates."""
+    return args.samples if args.weights == "mc" else MAX_SAMPLES
 
 
 def load_poisson(path: str) -> PolyVector:
@@ -169,54 +140,44 @@ def save_poisson(pi: PolyVector, path: str | Path):
     Path(path).write_text(json.dumps(data, indent=1) + "\n")
 
 
-def _require_star_order(cfg: RunConfig):
-    """Refuse order 3 (no weights; Monte Carlo on ~1700 graphs) up front."""
-    if cfg.order > 2:
-        raise UsageError("--order 3 needs order-3 graph weights, not derived")
-
-
-def _load_table(cfg: RunConfig) -> WeightTable:
-    if cfg.cache_path.exists():
+def _load_table(cache: Path) -> WeightTable:
+    if cache.exists():
         try:
-            return WeightTable.load(cfg.cache_path)
+            return WeightTable.load(cache)
         except (
             OSError, ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError
         ) as exc:
-            raise UsageError(
-                f"cannot read weight cache {cfg.cache_path}: {exc}"
-            ) from exc
-    if not cfg.cache_path.parent.is_dir():
+            raise UsageError(f"cannot read weight cache {cache}: {exc}") from exc
+    if not cache.parent.is_dir():
         # refused now: the save after the estimates would fail
-        raise UsageError(
-            f"weight cache directory {cfg.cache_path.parent} does not exist"
-        )
+        raise UsageError(f"weight cache directory {cache.parent} does not exist")
     return WeightTable()
 
 
-def _weight_table(cfg: RunConfig, graphs) -> WeightTable:
+def _weight_table(args, cache: Path, graphs) -> WeightTable:
     """Weights for the given graphs: table mode estimates and persists the
     ones the cache lacks, mc mode estimates all at exactly --samples."""
-    table_mode = cfg.weights_mode == "table"
-    table = _load_table(cfg) if table_mode else WeightTable()
+    table_mode = args.weights == "table"
+    table = _load_table(cache) if table_mode else WeightTable()
     before = dict(table.entries)
     table = build_weight_table(
         graphs,
-        seed=cfg.seed,
-        max_denominator=cfg.max_denominator,
-        initial_samples=cfg.samples,
+        seed=args.seed,
+        max_denominator=args.max_denominator,
+        initial_samples=args.samples,
         table=table,
-        max_samples=cfg.max_samples,
+        max_samples=_max_samples(args),
     )
     if table_mode and table.entries != before:
-        table.save(cfg.cache_path)
+        table.save(cache)
     return table
 
 
-def _snapped_table(cfg: RunConfig, order: int) -> WeightTable:
+def _snapped_table(args, cache: Path, order: int) -> WeightTable:
     """_weight_table for every graph up to `order`, where a graph that fails
     to snap is a check failure."""
     graphs = star_graphs(order)
-    table = _weight_table(cfg, graphs)
+    table = _weight_table(args, cache, graphs)
     unsnapped = [
         gid for gid in map(canonical_id, graphs) if table.exact(gid) is None
     ]
@@ -293,19 +254,19 @@ def cmd_graphs(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    cfg = _config(args)
+    cache = _weight_cache(args)
     try:
         g = parse_id(args.graph)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if g.nbar != 2:
         raise UsageError("weights are defined for graphs with two boundary vertices")
-    table = _load_table(cfg)
+    table = _load_table(cache)
     est, snapped = estimate_and_snap(
-        g, cfg.seed, cfg.max_denominator, cfg.samples, cfg.max_samples
+        g, args.seed, args.max_denominator, args.samples, _max_samples(args)
     )
     table.put(est, snapped)
-    table.save(cfg.cache_path)
+    table.save(cache)
     record = table.get(est.graph).to_json()
     record["graph"] = est.graph
     _emit(record)
@@ -313,35 +274,35 @@ def cmd_weight(args) -> int:
 
 
 def cmd_star(args) -> int:
-    cfg = _config(args)
-    _require_star_order(cfg)
+    order = _order(args, top=2)
+    cache = _weight_cache(args)
     pi = load_poisson(args.pi)
     try:
         f = parse_polynomial(args.f, pi.dim)
         g = parse_polynomial(args.g, pi.dim)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    table = _snapped_table(cfg, cfg.order)
-    series_ops = _star_series(pi, cfg.order, table)
-    out = star_apply(series_ops, lift(f, cfg.order), lift(g, cfg.order))
+    table = _snapped_table(args, cache, order)
+    series_ops = _star_series(pi, order, table)
+    out = star_apply(series_ops, lift(f, order), lift(g, order))
     _emit(_series_json(out))
     return 0
 
 
 def cmd_moyal(args) -> int:
-    cfg = _config(args)
+    order = _order(args)
     pi = load_poisson(args.pi)
     try:
         f = parse_polynomial(args.f, pi.dim)
         g = parse_polynomial(args.g, pi.dim)
-        out = moyal(pi, f, g, cfg.order)
+        out = moyal(pi, f, g, order)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _emit(_series_json(out))
     return 0
 
 
-def _check_jacobi(args, cfg: RunConfig) -> dict:
+def _check_jacobi(args) -> dict:
     pi = load_poisson(args.pi)
     jac = jacobiator(pi)
     return {
@@ -351,26 +312,27 @@ def _check_jacobi(args, cfg: RunConfig) -> dict:
     }
 
 
-def _check_assoc(args, cfg: RunConfig) -> dict:
-    _require_star_order(cfg)
+def _check_assoc(args) -> dict:
+    order = _order(args, top=2)
+    cache = _weight_cache(args)
     pi = load_poisson(args.pi)
     _warn_if_not_poisson(pi)
     xs = [Polynomial.var(pi.dim, i) for i in range(1, pi.dim + 1)]
     triples = list(itertools.product(xs, repeat=3))
     report = {
         "check": "assoc",
-        "mode": cfg.weights_mode,
-        "order": cfg.order,
+        "mode": args.weights,
+        "order": order,
         "triples": len(triples),
     }
-    if cfg.weights_mode == "table":
-        weight = point_weights(_snapped_table(cfg, cfg.order))
+    if args.weights == "table":
+        weight = point_weights(_snapped_table(args, cache, order))
     else:
         # raw estimates, one per orbit, each within its 3-sigma band
-        weight = band_weights(_weight_table(cfg, star_graphs(cfg.order)))
-        report["samples"] = cfg.samples
+        weight = band_weights(_weight_table(args, cache, star_graphs(order)))
+        report["samples"] = args.samples
     bound = associator_bound(
-        [class_rows(pi, n, weight) for n in range(cfg.order + 1)]
+        [class_rows(pi, n, weight) for n in range(order + 1)]
     )
     # apply_op on coordinates is a nonnegative linear map of the coefficients,
     # so a triple whose applied bound excludes 0 has a nonzero defect
@@ -386,10 +348,10 @@ def _check_assoc(args, cfg: RunConfig) -> dict:
     return report
 
 
-def _check_hochschild(args, cfg: RunConfig) -> dict:
+def _check_hochschild(args) -> dict:
     import random
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
 
     def rand_poly(dim, maxdeg=2):
         terms = {}
@@ -447,10 +409,11 @@ def _check_hochschild(args, cfg: RunConfig) -> dict:
     }
 
 
-def _check_wick(args, cfg: RunConfig) -> dict:
+def _check_wick(args) -> dict:
     import random
 
-    rng = random.Random(cfg.seed)
+    order = _order(args)
+    rng = random.Random(args.seed)
     failures = 0
     trials = 20
     for _ in range(trials):
@@ -476,13 +439,11 @@ def _check_wick(args, cfg: RunConfig) -> dict:
                 )
             },
         )
-        if moyal(pi, f, g, cfg.order).coeffs != moyal_via_wick(
-            pi, f, g, cfg.order
-        ).coeffs:
+        if moyal(pi, f, g, order).coeffs != moyal_via_wick(pi, f, g, order).coeffs:
             failures += 1
     return {
         "check": "wick",
-        "order": cfg.order,
+        "order": order,
         "trials": trials,
         "failures": failures,
         "pass": failures == 0,
@@ -498,13 +459,9 @@ CHECKS = {
 
 
 def cmd_check(args) -> int:
-    cfg = _config(args)
-    kind = args.kind
-    if kind not in CHECKS:
-        raise UsageError(f"unknown check kind {kind!r}")
-    if kind in ("jacobi", "assoc") and not getattr(args, "pi", None):
-        raise UsageError(f"check {kind} requires --pi")
-    report = CHECKS[kind](args, cfg)
+    if args.kind in ("jacobi", "assoc") and not args.pi:
+        raise UsageError(f"check {args.kind} requires --pi")
+    report = CHECKS[args.kind](args)
     _emit(report)
     return 0 if report["pass"] else 1
 

@@ -140,11 +140,7 @@ class SkewForm(Frozen):
     @staticmethod
     def standard(n: int) -> "SkewForm":
         """Omega_0 on R^{2n} with the basis e_1..e_n, f_1..f_n."""
-        mat = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            mat[i][n + i] = Fraction(1)
-            mat[n + i][i] = Fraction(-1)
-        return SkewForm(2 * n, tuple(tuple(r) for r in mat))
+        return SkewForm(2 * n, canonical_block(0, n))
 
 
 class Subspace(Frozen):

@@ -31,6 +31,7 @@ from deformq.operators import (
     apply_op,
     build_b_gamma,
     from_sums,
+    hkr,
     insert,
     insert_into,
     linear_combination,
@@ -201,24 +202,6 @@ def _require_constant(pi: PolyVector):
             raise ValueError("Moyal product requires a constant bivector")
 
 
-def _contraction_op(pi: PolyVector) -> MultiDiffOp:
-    """sum_{i,j} pi^{ij} d_i (x) d_j over the full skew range."""
-    d = pi.dim
-    terms = {}
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            comp = pi.component((i, j))
-            if comp.is_zero:
-                continue
-            ki = [0] * d
-            ki[i - 1] = 1
-            kj = [0] * d
-            kj[j - 1] = 1
-            key = (tuple(ki), tuple(kj))
-            terms[key] = terms[key] + comp if key in terms else comp
-    return MultiDiffOp(d, 2, terms)
-
-
 def _slotwise_mul(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
     """Pointwise product of two bidifferential operators: derivative
     multi-indices add per slot, coefficients multiply."""
@@ -234,10 +217,11 @@ def _slotwise_mul(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
 
 
 def moyal_series(pi: PolyVector, order: int) -> StarSeries:
-    """exp(h P) as a truncated operator series, P the pi-contraction."""
+    """exp(h P) as a truncated operator series, P = 2 hkr(pi) the
+    pi-contraction sum_{i,j} pi^{ij} d_i (x) d_j."""
     _require_constant(pi)
     d = pi.dim
-    p_op = _contraction_op(pi)
+    p_op = hkr(pi).scale(2)
     ops = [MultiDiffOp.multiplication(d)]
     power = MultiDiffOp.multiplication(d)
     for k in range(1, order + 1):
@@ -249,9 +233,14 @@ def moyal_series(pi: PolyVector, order: int) -> StarSeries:
 def moyal(
     pi: PolyVector, f: Polynomial, g: Polynomial, order: int
 ) -> FormalSeries:
-    """Closed-form Moyal product of two polynomials, exact at every order."""
-    series = moyal_series(pi, order)
-    return star_apply(series, lift(f, order), lift(g, order))
+    """Closed-form Moyal product of two polynomials, exact at every order.
+
+    The h^k term takes k derivatives of each argument, so the series is built
+    only up to the lower degree of f and g and padded with zeros."""
+    top = min(order, f.total_degree(), g.total_degree())
+    out = star_apply(moyal_series(pi, top), lift(f, top), lift(g, top))
+    zeros = (Polynomial.zero(pi.dim),) * (order - top)
+    return FormalSeries(order, out.coeffs + zeros)
 
 
 # ---------------------------------------------------------------------------

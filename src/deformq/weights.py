@@ -89,7 +89,7 @@ from deformq.graphs import (
     is_boundary,
     orbit,
 )
-from deformq.record import Frozen, Record
+from deformq.record import Frozen
 
 TWO_PI = 2.0 * math.pi
 CHUNK = 1 << 16
@@ -615,17 +615,17 @@ def snap(est: WeightEstimate, max_denominator: int) -> Fraction | None:
 # ---------------------------------------------------------------------------
 
 
-class WeightEntry(Record):
+class WeightEntry(Frozen):
     __slots__ = ("mean", "stderr", "samples", "seed", "snapped")
 
     def __init__(
         self, mean: float, stderr: float, samples: int, seed: int, snapped: Fraction | None
     ):
-        self.mean = mean
-        self.stderr = stderr
-        self.samples = samples
-        self.seed = seed
-        self.snapped = snapped
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "snapped", snapped)
 
     def to_json(self) -> dict:
         return {

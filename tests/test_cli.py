@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from deformq import cli, starprod, weights
 from deformq.cli import load_poisson, main, save_poisson
 from deformq.graphs import orbit
-from deformq.polyalg import Polynomial, PolyVector
+from deformq.polyalg import Polynomial, PolyVector, parse_polynomial
 
 
 @pytest.fixture
@@ -139,6 +140,17 @@ def test_weight_determinism(capsys, tmp_path):
     _, a = run(capsys, argv)
     _, b = run(capsys, argv)
     assert a == b
+
+
+def test_weight_ignores_order(capsys, tmp_path):
+    # weight estimates one graph; --order selects nothing there
+    code, out = run(
+        capsys,
+        ["weight", "--graph", "1;2;[b1,b2]", "--order", "9",
+         "--cache", str(tmp_path / "w.json")],
+    )
+    assert code == 0
+    assert out["snapped"] == "1/2"
 
 
 def test_weight_samples_floor_in_table_mode(tmp_path):
@@ -277,6 +289,61 @@ def test_moyal_command(capsys, const_pi_file):
     )
     assert code == 0
     assert out == {"order": 3, "coeffs": ["x1^2 x2^2", "4 x1 x2", "2", "0"]}
+
+
+def test_moyal_any_order(capsys, const_pi_file):
+    # no weight table bounds the closed form's order
+    argv = ["moyal", "--pi", const_pi_file, "--f", "x1^3 x2", "--g", "x1 x2^2"]
+    code, out = run(capsys, argv + ["--order", "4"])
+    assert code == 0
+    pi = load_poisson(const_pi_file)
+    f, g = (parse_polynomial(text, 2) for text in ("x1^3 x2", "x1 x2^2"))
+    expected = starprod.moyal(pi, f, g, 4)
+    assert out == {"order": 4, "coeffs": [str(c) for c in expected.coeffs]}
+
+
+def test_moyal_cost_bounded_by_the_degrees_of_the_arguments(capsys, tmp_path):
+    # every component nonzero, so that building the series' P^14 in full
+    # would take more than a minute
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    pi = PolyVector(4, 2, {(i, j): Polynomial.const(4, i + j) for i, j in pairs})
+    path = tmp_path / "pi4.json"
+    save_poisson(pi, path)
+    start = time.perf_counter()
+    code, out = run(
+        capsys,
+        ["moyal", "--pi", str(path), "--f", "x1", "--g", "x2", "--order", "14"],
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == {"order": 14, "coeffs": ["x1 x2", "3"] + ["0"] * 13}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["moyal", "--f", "x1", "--g", "x2"], ["check", "wick"]],
+    ids=["moyal", "check-wick"],
+)
+def test_negative_order_refused(capsys, const_pi_file, argv):
+    pi = ["--pi", const_pi_file] if argv[0] == "moyal" else []
+    assert main(argv + pi + ["--order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "hochschild", "--samples", "5"],
+     ["check", "jacobi", "--seed", "-5"],
+     ["moyal", "--f", "x1", "--g", "x2", "--max-denominator", "0"]],
+    ids=["hochschild-samples", "jacobi-seed", "moyal-max-denominator"],
+)
+def test_options_a_command_ignores_are_not_checked(capsys, const_pi_file, argv):
+    pi = [] if argv[1] == "hochschild" else ["--pi", const_pi_file]
+    code, out = run(capsys, argv + pi)
+    assert code == 0
+    assert out is not None
 
 
 def test_star_so3_coordinates(capsys, so3_file, cache_arg):
@@ -520,6 +587,13 @@ def test_check_wick(capsys):
     assert code == 0 and out["pass"] is True
 
 
+def test_check_wick_above_order_three(capsys):
+    # like moyal, the Wick oracle needs no weights
+    code, out = run(capsys, ["check", "wick", "--order", "6"])
+    assert code == 0 and out["pass"] is True
+    assert out["order"] == 6
+
+
 def test_check_hochschild(capsys):
     code, out = run(capsys, ["check", "hochschild"])
     assert code == 0 and out["pass"] is True
@@ -611,6 +685,24 @@ def test_poisson_dim_must_be_a_positive_integer(capsys, tmp_path, dim, cache_arg
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed poisson file {path}: dim must be")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["star", "--pi", "pi.json", "--f", "x1", "--g", "x2"],
+     ["check", "assoc"],
+     ["weight", "--graph", "1;2;[b1,b2]"]],
+    ids=["star", "check-assoc", "weight"],
+)
+def test_defaults(monkeypatch, argv):
+    monkeypatch.delenv("DEFORMQ_CACHE", raising=False)
+    args = cli.build_parser().parse_args(argv)
+    assert args.order == 2
+    assert args.samples == 1_000_000
+    assert args.seed == 2024
+    assert args.weights == "table"
+    assert args.max_denominator == 24
+    assert cli._weight_cache(args) == Path("weights_cache.json")
 
 
 def test_env_cache_override(capsys, tmp_path, monkeypatch):

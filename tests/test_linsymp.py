@@ -83,6 +83,9 @@ def test_standard_form_zero_form():
 
 def test_standard_form_standard_symplectic():
     omega = SkewForm.standard(2)
+    assert omega.matrix == frac_matrix(
+        [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+    )
     basis_change, k, n = standard_form(omega)
     assert (k, n) == (0, 2)
     assert basis_change == identity(4)

@@ -120,6 +120,11 @@ def test_moyal_associative_order_four():
 
 def test_moyal_first_order_antisym_recovers_pi():
     assert first_order_antisym(moyal_series(PI0, 2)) == PI0
+    # P = sum_{i,j} pi^{ij} d_i (x) d_j over the full skew range
+    one = Polynomial.const(2, 1)
+    assert moyal_series(PI0, 1).ops[1] == MultiDiffOp(
+        2, 2, {((1, 0), (0, 1)): one, ((0, 1), (1, 0)): -one}
+    )
 
 
 # ---------------------------------------------------------------------------
