@@ -261,12 +261,15 @@ def cmd_weight(args) -> int:
         raise UsageError(str(exc)) from exc
     if g.nbar != 2:
         raise UsageError("weights are defined for graphs with two boundary vertices")
-    table = _load_table(cache)
+    # mc mode neither reads nor writes the cache
+    table_mode = args.weights == "table"
+    table = _load_table(cache) if table_mode else WeightTable()
     est, snapped = estimate_and_snap(
         g, args.seed, args.max_denominator, args.samples, _max_samples(args)
     )
     table.put(est, snapped)
-    table.save(cache)
+    if table_mode:
+        table.save(cache)
     record = table.get(est.graph).to_json()
     record["graph"] = est.graph
     _emit(record)

@@ -471,10 +471,6 @@ class GaugeOperator(Frozen):
         return self.maps[0].dim
 
 
-def _compose_unary(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
-    return insert(a, 0, b)
-
-
 def gauge_inverse(d_op: GaugeOperator) -> GaugeOperator:
     """Order-by-order formal inverse: Dinv_k = -sum_{i=1..k} D_i Dinv_{k-i}."""
     dim = d_op.dim
@@ -482,7 +478,7 @@ def gauge_inverse(d_op: GaugeOperator) -> GaugeOperator:
     for k in range(1, d_op.order + 1):
         acc = MultiDiffOp.zero(dim, 1)
         for i in range(1, k + 1):
-            acc = acc + _compose_unary(d_op.maps[i], inv[k - i])
+            acc = acc + insert(d_op.maps[i], 0, inv[k - i])
         inv.append(-acc)
     return GaugeOperator(d_op.order, tuple(inv))
 
@@ -496,7 +492,7 @@ def gauge_transform(star: StarSeries, d_op: GaugeOperator) -> StarSeries:
 
     def term(inv, op, left, right):
         inner = insert(insert(op, 0, left), 1, right)
-        return _compose_unary(inv, inner)
+        return insert(inv, 0, inner)
 
     ops = truncated_product(
         (dinv.maps, star.ops, d_op.maps, d_op.maps),
@@ -566,47 +562,37 @@ def moyal_via_wick(
 
     coeffs = [Polynomial.zero(d) for _ in range(order + 1)]
     coeffs[0] = f * g
-    max_r = f.total_degree()
-    max_s = g.total_degree()
-    for r in range(0, max_r + 1):
-        for s in range(0, max_s + 1):
-            if (r + s) % 2 == 1 or r + s == 0:
-                continue
-            npairs = (r + s) // 2
-            if npairs > order:
-                continue
-            if r != s:
-                continue  # theta(0) = 0 zeroes every pairing (checked in tests)
-            norm = Fraction(1, factorial(r) * factorial(s))
-            for idx_f in itertools.product(range(1, d + 1), repeat=r):
-                df = f
-                for i in idx_f:
-                    df = df.partial(i)
-                    if df.is_zero:
-                        break
+    # Only r fields at u and s = r at v can pair up: with r != s some pair
+    # sits at one point, and theta(0) = 0 zeroes it (checked in tests).
+    for r in range(1, min(f.total_degree(), g.total_degree(), order) + 1):
+        norm = Fraction(1, factorial(r) ** 2)
+        for idx_f in itertools.product(range(1, d + 1), repeat=r):
+            df = f
+            for i in idx_f:
+                df = df.partial(i)
                 if df.is_zero:
-                    continue
-                for idx_g in itertools.product(range(1, d + 1), repeat=s):
-                    dg = g
-                    for j in idx_g:
-                        dg = dg.partial(j)
-                        if dg.is_zero:
-                            break
+                    break
+            if df.is_zero:
+                continue
+            for idx_g in itertools.product(range(1, d + 1), repeat=r):
+                dg = g
+                for j in idx_g:
+                    dg = dg.partial(j)
                     if dg.is_zero:
-                        continue
-                    fields = [(u, a) for a in idx_f] + [(v, b) for b in idx_g]
-                    weight = Fraction(0)
-                    for pairing in wick_pairings(npairs):
-                        prod = Fraction(1)
-                        for p, q in pairing:
-                            t1, a = fields[p - 1]
-                            t2, b = fields[q - 1]
-                            prod *= propagator(t1, a, t2, b)
-                            if prod == 0:
-                                break
-                        weight += prod
-                    if weight != 0:
-                        coeffs[npairs] = coeffs[npairs] + (df * dg).scale(
-                            weight * norm
-                        )
+                        break
+                if dg.is_zero:
+                    continue
+                fields = [(u, a) for a in idx_f] + [(v, b) for b in idx_g]
+                weight = Fraction(0)
+                for pairing in wick_pairings(r):
+                    prod = Fraction(1)
+                    for p, q in pairing:
+                        t1, a = fields[p - 1]
+                        t2, b = fields[q - 1]
+                        prod *= propagator(t1, a, t2, b)
+                        if prod == 0:
+                            break
+                    weight += prod
+                if weight != 0:
+                    coeffs[r] = coeffs[r] + (df * dg).scale(weight * norm)
     return FormalSeries(order, tuple(coeffs))

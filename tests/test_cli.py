@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -151,6 +152,31 @@ def test_weight_ignores_order(capsys, tmp_path):
     )
     assert code == 0
     assert out["snapped"] == "1/2"
+
+
+def test_weight_mc_mode_leaves_the_cache_untouched(capsys, tmp_path):
+    # an unsnapped mc estimate must not replace the snapped entry
+    cache = tmp_path / "w.json"
+    shutil.copyfile(Path(__file__).parent / ".weight_cache.json", cache)
+    before = hashlib.md5(cache.read_bytes()).hexdigest()
+    code, out = run(
+        capsys,
+        ["weight", "--graph", "2;2;[2,b1],[b1,b2]", "--weights", "mc",
+         "--samples", "10000", "--seed", "3", "--cache", str(cache)],
+    )
+    assert code == 0 and out["snapped"] is None
+    assert hashlib.md5(cache.read_bytes()).hexdigest() == before
+
+
+def test_weight_mc_mode_creates_no_cache(capsys, tmp_path):
+    cache = tmp_path / "none.json"
+    code, out = run(
+        capsys,
+        ["weight", "--graph", "1;2;[b1,b2]", "--weights", "mc", "--seed", "7",
+         "--cache", str(cache)],
+    )
+    assert code == 0 and out["snapped"] == "1/2"
+    assert not cache.exists()
 
 
 def test_weight_samples_floor_in_table_mode(tmp_path):
@@ -435,14 +461,13 @@ def test_star_ignores_unsnapped_graphs_it_does_not_use(
     capsys, so3_file, weight_cache_path, tmp_path
 ):
     # an order-2 estimate too short to snap must not fail an order-1 request
+    entries = json.loads(Path(weight_cache_path).read_text())
+    entries["2;2;[2,b1],[b1,b2]"] = {
+        "mean": -0.0812, "stderr": 0.0049, "samples": 10000, "seed": 3,
+        "snapped": None,
+    }
     cache = tmp_path / "c.json"
-    shutil.copyfile(weight_cache_path, cache)
-    code, out = run(
-        capsys,
-        ["weight", "--graph", "2;2;[2,b1],[b1,b2]", "--weights", "mc",
-         "--samples", "10000", "--seed", "3", "--cache", str(cache)],
-    )
-    assert code == 0 and out["snapped"] is None
+    cache.write_text(json.dumps(entries))
     code, out = run(
         capsys,
         ["star", "--pi", so3_file, "--f", "x1", "--g", "x2", "--order", "1",

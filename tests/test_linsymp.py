@@ -40,11 +40,12 @@ def random_skew(rng, m, span=5):
     return SkewForm(m, tuple(tuple(r) for r in mat))
 
 
-def random_subspace(rng, m, dim):
+def random_subspace(rng, m, dim, avoid=()):
+    """A random dim-dimensional subspace of R^m meeting span(avoid) only in 0."""
     vecs = []
     while len(vecs) < dim:
         cand = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m))
-        if rank(vecs + [cand]) > len(vecs):
+        if rank(list(avoid) + vecs + [cand]) > len(avoid) + len(vecs):
             vecs.append(cand)
     return Subspace(m, tuple(vecs))
 
@@ -244,6 +245,16 @@ def test_dirac_round_trip_pair():
             assert theta2 == expected
 
 
+@pytest.mark.parametrize(
+    "theta",
+    [[[0, 1], [1, 0]], [[1, 0], [0, 0]], [[0, 1]], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]],
+    ids=["symmetric", "diagonal", "too-few-rows", "too-large"],
+)
+def test_dirac_from_pair_rejects_bad_theta(theta):
+    with pytest.raises(ValueError):
+        dirac_from_pair(Subspace.full(2), frac_matrix(theta))
+
+
 def test_dirac_rejects_non_isotropic():
     with pytest.raises(ValueError):
         LinearDirac(
@@ -281,14 +292,21 @@ def test_restrict_tangent_bundle():
 
 def test_restrict_two_presentations_agree():
     rng = random.Random(62)
-    for _ in range(25):
+    seen = set()
+    for case in range(60):
         m = rng.choice([3, 4])
         wdim = rng.randint(0, m)
         w = random_subspace(rng, m, wdim) if wdim else Subspace.zero(m)
         theta = random_skew(rng, wdim).matrix if wdim else ()
         ld = dirac_from_pair(w, theta)
-        udim = rng.randint(1, m)
-        u = random_subspace(rng, m, udim)
+        if case % 2:
+            udim = rng.randint(0, m - wdim)
+            u = random_subspace(rng, m, udim, avoid=w.basis)
+            assert intersect(w, u).dim == 0
+        else:
+            udim = rng.randint(0, m)
+            u = random_subspace(rng, m, udim)
+        seen.add("zero U" if udim == 0 else "full U" if udim == m else "proper U")
         a = restrict_dirac(ld, u)
         b = restrict_dirac_quotient(ld, u)
         assert a.ambient_dim == b.ambient_dim == udim
@@ -298,6 +316,7 @@ def test_restrict_two_presentations_agree():
         for x in a.basis:
             for y in a.basis:
                 assert dirac_pairing(x, y, udim) == 0
+    assert seen == {"zero U", "full U", "proper U"}
 
 
 def test_annihilator_dims():
