@@ -6,12 +6,24 @@ The package namespace is lazy (PEP 562): `from deformq import name` imports
 only the submodule that defines `name`, on first use.  Importing
 `deformq.cli` or any other submodule therefore loads neither the unused
 submodules (`linsymp`) nor numpy, which only the Monte-Carlo weight code
-needs.
+needs.  A warm `star` or `check assoc` loads `cli`, `graphs`, `polyalg`,
+`operators`, `starprod`, `table` and `record`: not the Monte-Carlo code
+(`weights`), the closed forms (`closedform`) or the randomised suites
+(`suites`).
 """
 
 import importlib
 
 _SUBMODULES = {
+    "closedform": (
+        "GaugeOperator",
+        "gauge_inverse",
+        "gauge_transform",
+        "moyal",
+        "moyal_series",
+        "moyal_via_wick",
+        "wick_pairings",
+    ),
     "graphs": (
         "AdmissibleGraph",
         "boundary",
@@ -51,23 +63,16 @@ _SUBMODULES = {
         "schouten",
     ),
     "starprod": (
-        "GaugeOperator",
         "StarSeries",
         "associator",
         "first_order_antisym",
-        "gauge_inverse",
-        "gauge_transform",
         "kontsevich_star",
         "kontsevich_star_series",
-        "moyal",
-        "moyal_series",
-        "moyal_via_wick",
         "operator_associator",
-        "wick_pairings",
     ),
+    "table": ("WeightTable",),
     "weights": (
         "WeightEstimate",
-        "WeightTable",
         "angle",
         "build_weight_table",
         "snap",

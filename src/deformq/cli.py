@@ -8,6 +8,11 @@ The parsed arguments are the only configuration; every default lives in
 `_add_common`.  Each command checks only the options it reads: `weight`,
 `star` and `check assoc` (alias `assoc`) the weight options (`_weight_cache`),
 and every command that reads `--order` its range (`_order`).
+
+A warm `star` or `check assoc` (every weight it needs snapped in the cache)
+imports only the modules whose code it runs.  The Monte-Carlo estimation
+(`weights`), the closed forms (`closedform`) and the randomised suites
+(`suites`) are imported inside the handlers that use them.
 """
 
 from __future__ import annotations
@@ -18,17 +23,10 @@ import json
 import os
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 from deformq.graphs import canonical_id, enumerate_graphs, parse_id
-from deformq.operators import (
-    MultiDiffOp,
-    apply_op,
-    gerstenhaber_bracket,
-    hkr,
-    hochschild_d,
-)
+from deformq.operators import apply_op
 from deformq.polyalg import (
     Polynomial,
     PolyVector,
@@ -44,18 +42,11 @@ from deformq.starprod import (
     contains_zero,
     kontsevich_star_series,
     lift,
-    moyal,
-    moyal_via_wick,
     point_weights,
     star_apply,
     star_graphs,
 )
-from deformq.weights import (
-    MAX_SAMPLES,
-    WeightTable,
-    build_weight_table,
-    estimate_and_snap,
-)
+from deformq.table import MAX_SAMPLES, WeightTable
 
 DEFAULT_CACHE = "weights_cache.json"
 ENV_CACHE = "DEFORMQ_CACHE"
@@ -154,13 +145,12 @@ def _load_table(cache: Path) -> WeightTable:
     return WeightTable()
 
 
-def _weight_table(args, cache: Path, graphs) -> WeightTable:
-    """Weights for the given graphs: table mode estimates and persists the
-    ones the cache lacks, mc mode estimates all at exactly --samples."""
-    table_mode = args.weights == "table"
-    table = _load_table(cache) if table_mode else WeightTable()
-    before = dict(table.entries)
-    table = build_weight_table(
+def _estimate(args, graphs, table: WeightTable) -> WeightTable:
+    """build_weight_table on `table` for the given graphs, at the weight
+    options: it estimates each graph without a snapped entry."""
+    from deformq.weights import build_weight_table
+
+    return build_weight_table(
         graphs,
         seed=args.seed,
         max_denominator=args.max_denominator,
@@ -168,19 +158,25 @@ def _weight_table(args, cache: Path, graphs) -> WeightTable:
         table=table,
         max_samples=_max_samples(args),
     )
-    if table_mode and table.entries != before:
-        table.save(cache)
-    return table
 
 
 def _snapped_table(args, cache: Path, order: int) -> WeightTable:
-    """_weight_table for every graph up to `order`, where a graph that fails
-    to snap is a check failure."""
+    """Snapped weights for every graph up to `order`, where a graph that
+    fails to snap is a check failure: table mode estimates and persists the
+    ones the cache lacks, mc mode estimates all at exactly --samples."""
     graphs = star_graphs(order)
-    table = _weight_table(args, cache, graphs)
-    unsnapped = [
-        gid for gid in map(canonical_id, graphs) if table.exact(gid) is None
-    ]
+    ids = [canonical_id(g) for g in graphs]
+    if args.weights == "mc":
+        table = _estimate(args, graphs, WeightTable())
+    else:
+        table = _load_table(cache)
+        # a warm cache needs no estimate, nor the module that makes them
+        if any(table.exact(gid) is None for gid in ids):
+            before = dict(table.entries)
+            table = _estimate(args, graphs, table)
+            if table.entries != before:
+                table.save(cache)
+    unsnapped = [gid for gid in ids if table.exact(gid) is None]
     if unsnapped:
         raise CheckFailure(
             f"weights failed to snap uniquely: {', '.join(sorted(unsnapped))}"
@@ -254,6 +250,8 @@ def cmd_graphs(args) -> int:
 
 
 def cmd_weight(args) -> int:
+    from deformq.weights import estimate_and_snap
+
     cache = _weight_cache(args)
     try:
         g = parse_id(args.graph)
@@ -293,6 +291,8 @@ def cmd_star(args) -> int:
 
 
 def cmd_moyal(args) -> int:
+    from deformq.closedform import moyal
+
     order = _order(args)
     pi = load_poisson(args.pi)
     try:
@@ -332,7 +332,7 @@ def _check_assoc(args) -> dict:
         weight = point_weights(_snapped_table(args, cache, order))
     else:
         # raw estimates, one per orbit, each within its 3-sigma band
-        weight = band_weights(_weight_table(args, cache, star_graphs(order)))
+        weight = band_weights(_estimate(args, star_graphs(order), WeightTable()))
         report["samples"] = args.samples
     bound = associator_bound(
         [class_rows(pi, n, weight) for n in range(order + 1)]
@@ -352,105 +352,15 @@ def _check_assoc(args) -> dict:
 
 
 def _check_hochschild(args) -> dict:
-    import random
+    from deformq.suites import hochschild_report
 
-    rng = random.Random(args.seed)
-
-    def rand_poly(dim, maxdeg=2):
-        terms = {}
-        for _ in range(2):
-            key = tuple(rng.randint(0, maxdeg) for _ in range(dim))
-            if sum(key) <= maxdeg:
-                terms[key] = Fraction(rng.randint(-2, 2))
-        return Polynomial(dim, terms)
-
-    def rand_op(dim, arity):
-        terms = {}
-        for _ in range(2):
-            key = []
-            for _ in range(arity):
-                deriv = [0] * dim
-                for _ in range(rng.randint(0, 2)):
-                    deriv[rng.randrange(dim)] += 1
-                key.append(tuple(deriv))
-            terms[tuple(key)] = rand_poly(dim)
-        return MultiDiffOp(dim, arity, terms)
-
-    d_squared_ok = all(
-        hochschild_d(hochschild_d(rand_op(rng.choice([2, 3]), rng.randint(1, 3)))).is_zero
-        for _ in range(20)
-    )
-    jacobi_ok = True
-    for _ in range(8):
-        dim = 2
-        phi, psi, chi = (rand_op(dim, rng.randint(1, 2)) for _ in range(3))
-        m, n = phi.degree, psi.degree
-        lhs = gerstenhaber_bracket(phi, gerstenhaber_bracket(psi, chi))
-        rhs = gerstenhaber_bracket(gerstenhaber_bracket(phi, psi), chi) + (
-            gerstenhaber_bracket(psi, gerstenhaber_bracket(phi, chi)).scale(
-                (-1) ** (m * n)
-            )
-        )
-        if lhs != rhs:
-            jacobi_ok = False
-    hkr_ok = True
-    for _ in range(8):
-        dim = rng.choice([2, 3])
-        degree = rng.randint(1, min(3, dim))
-        comps = {}
-        for key in itertools.combinations(range(1, dim + 1), degree):
-            comps[key] = rand_poly(dim)
-        xi = PolyVector(dim, degree, comps)
-        if not hochschild_d(hkr(xi)).is_zero:
-            hkr_ok = False
-    return {
-        "check": "hochschild",
-        "d_squared_zero": d_squared_ok,
-        "gerstenhaber_jacobi": jacobi_ok,
-        "hkr_closed": hkr_ok,
-        "pass": d_squared_ok and jacobi_ok and hkr_ok,
-    }
+    return hochschild_report(args.seed)
 
 
 def _check_wick(args) -> dict:
-    import random
+    from deformq.suites import wick_report
 
-    order = _order(args)
-    rng = random.Random(args.seed)
-    failures = 0
-    trials = 20
-    for _ in range(trials):
-        dim = rng.randint(1, 4)
-        comps = {}
-        for i in range(1, dim + 1):
-            for j in range(i + 1, dim + 1):
-                comps[(i, j)] = Polynomial.const(
-                    dim, Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                )
-        pi = PolyVector(dim, 2, comps)
-        terms = {}
-        for _ in range(3):
-            key = tuple(rng.randint(0, 3) for _ in range(dim))
-            if sum(key) <= 3:
-                terms[key] = Fraction(rng.randint(-3, 3))
-        f = Polynomial(dim, terms)
-        g = Polynomial(
-            dim,
-            {
-                tuple(rng.randint(0, 1) for _ in range(dim)): Fraction(
-                    rng.randint(-3, 3)
-                )
-            },
-        )
-        if moyal(pi, f, g, order).coeffs != moyal_via_wick(pi, f, g, order).coeffs:
-            failures += 1
-    return {
-        "check": "wick",
-        "order": order,
-        "trials": trials,
-        "failures": failures,
-        "pass": failures == 0,
-    }
+    return wick_report(_order(args), args.seed)
 
 
 CHECKS = {

@@ -155,11 +155,13 @@ def orbit(g: AdmissibleGraph, mirror: bool = False) -> tuple[AdmissibleGraph, in
     return AdmissibleGraph(n, g.nbar, rep), best[1]
 
 
-_ID_RE = re.compile(r"^(\d+);(\d+);(.*)$")
-_STAR_RE = re.compile(r"\[([^\]]*)\]")
+# parse_id's patterns, compiled (and cached by re) on its first call, so that
+# a process that parses no id compiles none
+_ID_RE = r"^(\d+);(\d+);(.*)$"
+_STAR_RE = r"\[([^\]]*)\]"
 _TARGET = r"\s*b?[0-9]+\s*"
 _STAR = rf"\[(?:{_TARGET}(?:,{_TARGET})*)?\]"
-_STARS_RE = re.compile(rf"(?:{_STAR}(?:,{_STAR})*)?")
+_STARS_RE = rf"(?:{_STAR}(?:,{_STAR})*)?"
 
 
 def canonical_id(g: AdmissibleGraph) -> str:
@@ -175,14 +177,14 @@ def canonical_id(g: AdmissibleGraph) -> str:
 
 
 def parse_id(text: str) -> AdmissibleGraph:
-    m = _ID_RE.match(text.strip())
+    m = re.match(_ID_RE, text.strip())
     if not m:
         raise ValueError(f"malformed graph id {text!r}")
     n, nbar, rest = int(m.group(1)), int(m.group(2)), m.group(3)
-    if not _STARS_RE.fullmatch(rest):
+    if not re.fullmatch(_STARS_RE, rest):
         raise ValueError(f"malformed graph id {text!r}")
     stars = []
-    for sm in _STAR_RE.finditer(rest):
+    for sm in re.finditer(_STAR_RE, rest):
         inner = sm.group(1)
         star = []
         if inner:

@@ -1,4 +1,5 @@
-"""Monte-Carlo estimation of graph weights, rational snapping, weight cache.
+"""Graph weights: the rules that fix some exactly, Monte-Carlo estimation of
+the rest, rational snapping, and the builds that fill a weight table.
 
 The weight of a graph with n aerial vertices and two boundary vertices is
 
@@ -65,21 +66,21 @@ pairwise summation in chunk order.  Nothing a sum depends on varies with
 the block or the worker, so estimates are bit-identical for any number of
 cores.
 
-numpy and the process pool are imported inside the Monte-Carlo functions,
-not at module level, so the exact-algebra commands (star and check assoc on
-a warm cache) start without loading them.
+The weight table itself (WeightTable, WeightEntry, MAX_SAMPLES) lives in
+`table`, and is imported here under the same names.  The exact-algebra
+commands (star and check assoc) import this module only when the cache lacks
+a snapped weight they need; numpy and the process pool are imported inside
+the Monte-Carlo functions, so that a weight fixed by a rule loads neither.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
-import json
 import math
 import os
 import zlib
 from fractions import Fraction
-from pathlib import Path
 
 from deformq.graphs import (
     AdmissibleGraph,
@@ -90,11 +91,11 @@ from deformq.graphs import (
     orbit,
 )
 from deformq.record import Frozen
+from deformq.table import MAX_SAMPLES, WeightEntry, WeightTable  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 CHUNK = 1 << 16
 BLOCK = 8192
-MAX_SAMPLES = 64_000_000
 
 
 def angle(z: complex, w: complex) -> float:
@@ -380,12 +381,6 @@ def weight_rule(g: AdmissibleGraph) -> tuple[str, Fraction] | None:
     return None
 
 
-def structural_weight(g: AdmissibleGraph) -> Fraction | None:
-    """The weight of a graph that is exact by rule (weight_rule), else None."""
-    rule = weight_rule(g)
-    return None if rule is None else rule[1]
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -527,16 +522,16 @@ def weight_mc(
     boundary_points: tuple[float, float] = (0.0, 1.0),
 ) -> WeightEstimate:
     """The (prefactored) weight of a graph, nbar = 2: exact, with zero
-    stderr, when a rule fixes it (structural_weight), else the Monte-Carlo
+    stderr, when a rule fixes it (weight_rule), else the Monte-Carlo
     estimate of _sample_weight.
     """
     if g.nbar != 2:
         raise ValueError("only two boundary vertices are supported")
     if samples < 1:
         raise ValueError("samples must be positive")
-    exact = structural_weight(g)
-    if exact is not None:
-        return WeightEstimate(canonical_id(g), float(exact), 0.0, samples, seed)
+    rule = weight_rule(g)
+    if rule is not None:
+        return WeightEstimate(canonical_id(g), float(rule[1]), 0.0, samples, seed)
     return _sample_weight(g, samples, seed, boundary_points)
 
 
@@ -611,106 +606,8 @@ def snap(est: WeightEstimate, max_denominator: int) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# weight cache
+# table builds
 # ---------------------------------------------------------------------------
-
-
-class WeightEntry(Frozen):
-    __slots__ = ("mean", "stderr", "samples", "seed", "snapped")
-
-    def __init__(
-        self, mean: float, stderr: float, samples: int, seed: int, snapped: Fraction | None
-    ):
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "stderr", stderr)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "snapped", snapped)
-
-    def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "snapped": str(self.snapped) if self.snapped is not None else None,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "WeightEntry":
-        snapped = data.get("snapped")
-        stderr = _finite(data["stderr"])
-        if stderr < 0:
-            raise ValueError(f"negative stderr {stderr!r}")
-        return WeightEntry(
-            mean=_finite(data["mean"]),
-            stderr=stderr,
-            samples=_typed(data["samples"], int),
-            seed=_typed(data["seed"], int),
-            snapped=Fraction(_typed(snapped, str)) if snapped is not None else None,
-        )
-
-
-def _typed(value, kind: type):
-    """value itself, if its JSON type is exactly kind (a bool is no int)."""
-    if type(value) is not kind:
-        raise ValueError(f"expected {kind.__name__}, not {value!r}")
-    return value
-
-
-def _finite(value) -> float:
-    """value as a float, if it is a finite JSON number (a bool is none)."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, not {value!r}")
-    return float(value)
-
-
-class WeightTable:
-    """GraphId -> weight entries, persisted as a JSON map (last write wins)."""
-
-    def __init__(self, entries: dict[str, WeightEntry] | None = None):
-        self.entries: dict[str, WeightEntry] = dict(entries or {})
-
-    def put(self, est: WeightEstimate, snapped: Fraction | None):
-        self.entries[est.graph] = WeightEntry(
-            est.mean, est.stderr, est.samples, est.seed, snapped
-        )
-
-    def get(self, gid: str) -> WeightEntry | None:
-        return self.entries.get(gid)
-
-    def exact(self, gid: str) -> Fraction | None:
-        entry = self.entries.get(gid)
-        return entry.snapped if entry else None
-
-    def to_json(self) -> dict:
-        return {gid: e.to_json() for gid, e in sorted(self.entries.items())}
-
-    @staticmethod
-    def from_json(data: dict) -> "WeightTable":
-        return WeightTable(
-            {gid: WeightEntry.from_json(e) for gid, e in data.items()}
-        )
-
-    def save(self, path: str | Path):
-        """Write the table to path atomically: a concurrent reader sees the
-        old file or the new one, never a part of one."""
-        path = Path(path)
-        text = json.dumps(self.to_json(), indent=1) + "\n"
-        # a name no other live process writes, beside path, so that the
-        # replace is a rename within one file system
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    @staticmethod
-    def load(path: str | Path) -> "WeightTable":
-        return WeightTable.from_json(json.loads(Path(path).read_text()))
 
 
 def graph_seed(base_seed: int, gid: str) -> int:
@@ -733,7 +630,7 @@ def estimate_and_snap(
 ) -> tuple[WeightEstimate, Fraction | None]:
     """Estimate with quadrupling sample counts until snapping is unambiguous.
 
-    A graph with a structural_weight returns it directly.  Any other graph
+    A graph whose weight a rule fixes (weight_rule) returns it directly.  Any other graph
     is estimated through its orbit representative (over relabelling, star
     reordering and the mirror), with the stream key graph_seed(seed,
     representative id), and the result comes back under g's id with the
@@ -743,9 +640,9 @@ def estimate_and_snap(
     spread: snap raises ValueError otherwise.
     """
     gid = canonical_id(g)
-    exact = structural_weight(g)
-    if exact is not None:
-        return weight_mc(g, initial_samples, graph_seed(seed, gid)), exact
+    rule = weight_rule(g)
+    if rule is not None:
+        return weight_mc(g, initial_samples, graph_seed(seed, gid)), rule[1]
     rep, sign = orbit(g, mirror=True)
     rid = canonical_id(rep)
     memo = {} if memo is None else memo

@@ -11,6 +11,14 @@ from fractions import Fraction
 
 import pytest
 
+from deformq.closedform import (
+    GaugeOperator,
+    gauge_inverse,
+    gauge_transform,
+    moyal,
+    moyal_series,
+    moyal_via_wick,
+)
 from deformq.graphs import AdmissibleGraph, boundary
 from deformq.linsymp import (
     SkewForm,
@@ -43,20 +51,14 @@ from deformq.polyalg import (
     schouten,
 )
 from deformq.starprod import (
-    GaugeOperator,
     associator,
     associator_bound,
     band_weights,
     class_rows,
     contains_zero,
     first_order_antisym,
-    gauge_inverse,
-    gauge_transform,
     kontsevich_star,
     kontsevich_star_series,
-    moyal,
-    moyal_series,
-    moyal_via_wick,
 )
 from deformq.weights import WeightEstimate, WeightTable, _sample_weight
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from deformq import cli, starprod, weights
+from deformq import cli, closedform, starprod, weights
 from deformq.cli import load_poisson, main, save_poisson
 from deformq.graphs import orbit
 from deformq.polyalg import Polynomial, PolyVector, parse_polynomial
@@ -324,7 +324,7 @@ def test_moyal_any_order(capsys, const_pi_file):
     assert code == 0
     pi = load_poisson(const_pi_file)
     f, g = (parse_polynomial(text, 2) for text in ("x1^3 x2", "x1 x2^2"))
-    expected = starprod.moyal(pi, f, g, 4)
+    expected = closedform.moyal(pi, f, g, 4)
     assert out == {"order": 4, "coeffs": [str(c) for c in expected.coeffs]}
 
 
@@ -489,11 +489,10 @@ def test_order_three_refused_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("order 3 must be refused before any work")
 
-    for name in (
-        "build_weight_table", "estimate_and_snap", "kontsevich_star_series",
-    ):
-        monkeypatch.setattr(cli, name, no_work)
-    monkeypatch.setattr(weights, "weight_mc", no_work)
+    # the CLI imports the estimators from weights when it calls them
+    for name in ("build_weight_table", "estimate_and_snap", "weight_mc"):
+        monkeypatch.setattr(weights, name, no_work)
+    monkeypatch.setattr(cli, "kontsevich_star_series", no_work)
     cache = tmp_path / "w.json"
     code = main(
         command
@@ -893,7 +892,7 @@ def test_check_assoc_mc_mode_estimates_once_per_orbit(
     real = weights.weight_mc
 
     def counting(g, samples, seed, *args):
-        if weights.structural_weight(g) is None:
+        if weights.weight_rule(g) is None:
             estimated.append(g)
         return real(g, samples, seed, *args)
 
@@ -942,7 +941,9 @@ def _deformq_subprocess(code_text, *argv):
     )
 
 
-def test_warm_star_and_check_assoc_do_not_import_numpy(so3_file, weight_cache_path):
+def test_warm_star_and_check_assoc_import_only_the_code_they_run(
+    so3_file, weight_cache_path
+):
     script = (
         "import sys\n"
         "from deformq.cli import main\n"
@@ -954,12 +955,34 @@ def test_warm_star_and_check_assoc_do_not_import_numpy(so3_file, weight_cache_pa
         "print(*(m in sys.modules for m in"
         " ('numpy', 'deformq.linsymp', 'dataclasses', 'inspect',"
         " 'concurrent.futures', 'multiprocessing',"
-        " 'concurrent.futures.process')),"
+        " 'concurrent.futures.process', 'deformq.weights',"
+        " 'deformq.closedform', 'deformq.suites')),"
         " file=sys.stderr)\n"
     )
     proc = _deformq_subprocess(script, so3_file, weight_cache_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "False False False False False False False\n"
+    assert proc.stderr == " ".join(["False"] * 10) + "\n"
+
+
+def test_star_estimates_a_weight_the_cache_lacks(tmp_path, so3_file, weight_cache_path):
+    # the rule-fixed order-1 weight: restoring it imports the weights module,
+    # which the full cache never needs, but neither numpy nor Monte Carlo
+    gid = "1;2;[b1,b1]"
+    full = json.loads(Path(weight_cache_path).read_text())
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({k: v for k, v in full.items() if k != gid}))
+    argv = ["star", "--pi", so3_file, "--f", "x1 x2", "--g", "x3^2 + x1"]
+    script = (
+        "import sys; from deformq.cli import main; code = main(sys.argv[1:]);"
+        " print(*(m in sys.modules for m in ('deformq.weights', 'numpy')),"
+        " file=sys.stderr); sys.exit(code)"
+    )
+    warm = _deformq_subprocess(script, *argv, "--cache", weight_cache_path)
+    cold = _deformq_subprocess(script, *argv, "--cache", str(partial))
+    assert warm.returncode == cold.returncode == 0, cold.stderr
+    assert cold.stdout == warm.stdout
+    assert (warm.stderr, cold.stderr) == ("False False\n", "True False\n")
+    assert json.loads(partial.read_text()) == full
 
 
 def test_check_assoc_non_poisson_prints_one_warning_line(tmp_path, weight_cache_path):

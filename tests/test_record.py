@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+from deformq.closedform import GaugeOperator
 from deformq.graphs import AdmissibleGraph
 from deformq.linsymp import LinearDirac, SkewForm, Subspace, SubspaceClass
 from deformq.operators import MultiDiffOp
 from deformq.polyalg import FormalSeries, Polynomial, PolyVector
-from deformq.starprod import GaugeOperator, StarSeries
+from deformq.starprod import StarSeries
 from deformq.weights import WeightEntry, WeightEstimate
 
 P = Polynomial

@@ -4,17 +4,26 @@ from fractions import Fraction
 
 import pytest
 
+from deformq.closedform import (
+    GaugeOperator,
+    gauge_inverse,
+    gauge_transform,
+    moyal,
+    moyal_series,
+    moyal_via_wick,
+    wick_pairings,
+)
 from deformq.graphs import parse_id
-from deformq.operators import MultiDiffOp, apply_op, insert, linear_combination
+from deformq.operators import MultiDiffOp, apply_op, hkr, insert, linear_combination
 from deformq.polyalg import (
     FormalSeries,
     Polynomial,
     PolyVector,
+    jacobiator,
     parse_polynomial,
     poisson_bracket,
 )
 from deformq.starprod import (
-    GaugeOperator,
     MissingWeightError,
     StarSeries,
     associator,
@@ -23,18 +32,12 @@ from deformq.starprod import (
     class_rows,
     contains_zero,
     first_order_antisym,
-    gauge_inverse,
-    gauge_transform,
     kontsevich_star,
     kontsevich_star_series,
     lift,
-    moyal,
-    moyal_series,
-    moyal_via_wick,
     operator_associator,
     point_weights,
     star_apply,
-    wick_pairings,
 )
 from deformq.weights import WeightTable, WeightEstimate
 
@@ -192,7 +195,7 @@ def test_wick_order_one_structure():
 def test_unbalanced_insertions_vanish_by_normal_ordering():
     # oracle integrity: with r != s fields at the two points, every pairing
     # contains a same-point pair, and theta(0) = 0 kills it
-    from deformq.starprod import _theta
+    from deformq.closedform import _theta
 
     assert _theta(Fraction(0)) == 0
     u, v = Fraction(0), Fraction(1)
@@ -454,6 +457,38 @@ def test_interval_zero_widths_match_exact_path(weight_table):
             assert radius.is_zero
             assert center == defect
             assert center.is_zero
+
+
+def _rand_quadratic_bivector(rng, dim):
+    """Two random terms of degree <= 2 in each component."""
+    monomials = [e for e in itertools.product(range(3), repeat=dim) if sum(e) <= 2]
+    comps = {}
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            comps[(i, j)] = Polynomial(
+                dim,
+                {
+                    key: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+                    for key in rng.sample(monomials, 2)
+                },
+            )
+    return PolyVector(dim, 2, comps)
+
+
+def test_order_two_associator_is_minus_two_hkr_jacobiator(weight_table):
+    # for any bivector, not only a Poisson one, the associator of the graph
+    # series is a graph expression in [pi, pi]; at h^2 it is -2 hkr([pi, pi])
+    # in this package's normalizations (see starprod's module docstring)
+    rng = random.Random(67)
+    for dim in (3, 3, 3, 3, 4, 4, 4, 4):
+        pi = _rand_quadratic_bivector(rng, dim)
+        jac = jacobiator(pi)
+        assert not jac.is_zero
+        with pytest.warns(UserWarning, match="not Poisson"):
+            series = kontsevich_star_series(pi, 2, weight_table)
+        defect = operator_associator(series)
+        assert defect[0].is_zero and defect[1].is_zero
+        assert defect[2] == hkr(jac).scale(-2)
 
 
 def test_class_rows_name_every_missing_graph():

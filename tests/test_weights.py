@@ -38,7 +38,6 @@ from deformq.weights import (
     estimate_and_snap,
     graph_seed,
     snap,
-    structural_weight,
     weight_mc,
     weight_rule,
 )
@@ -317,9 +316,9 @@ def test_estimate_and_snap_exact_cases():
 
 
 def test_zero_spread_estimate_does_not_snap():
-    # one sample gives zero variance; only structural weights are exact
+    # one sample gives zero variance; only weights fixed by a rule are exact
     g = parse_id("2;2;[b1,b2],[b1,b2]")
-    assert structural_weight(g) is None
+    assert weight_rule(g) is None
     with pytest.raises(ValueError):
         estimate_and_snap(g, 5, initial_samples=1)
 
@@ -479,9 +478,9 @@ def test_unreached_boundary_vertex_integrand_vanishes():
 
 def test_unreached_boundary_vertex_is_structural_zero():
     for gid in NOISE_ZERO_ORBITS + ("2;2;[b1,2],[b1,1]",):
-        assert structural_weight(parse_id(gid)) == 0
+        assert weight_rule(parse_id(gid))[1] == 0
     for gid in ("2;2;[2,b1],[1,b2]", "2;2;[b1,b2],[b1,b2]"):
-        assert structural_weight(parse_id(gid)) is None
+        assert weight_rule(parse_id(gid)) is None
 
 
 def test_estimate_and_snap_returns_signed_representative_estimate():
@@ -559,7 +558,7 @@ def test_integrand_mirror_identity():
             got = _raw_integrand(mirror, 1.0 - z.real, z.imag, (0.0, 1.0))
             want = (-1) ** order * _raw_integrand(g, z.real, z.imag, (0.0, 1.0))
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12), canonical_id(g)
-            if structural_weight(g) is None:
+            if weight_rule(g) is None:
                 rep, sign = orbit(g, mirror=True)
                 assert orbit(mirror, mirror=True) == (rep, (-1) ** order * sign)
             checked += 1
@@ -600,7 +599,7 @@ def test_build_weight_table_estimates_each_orbit_once(monkeypatch):
     real = weights.weight_mc
 
     def stub(g, samples, seed):
-        if structural_weight(g) is not None:
+        if weight_rule(g) is not None:
             return real(g, samples, seed)
         estimated.append(canonical_id(g))
         exact = committed.exact(canonical_id(g))
@@ -610,7 +609,7 @@ def test_build_weight_table_estimates_each_orbit_once(monkeypatch):
     table = build_weight_table(star_graphs(2), seed=2024)
     assert sorted(estimated) == sorted(
         {canonical_id(orbit(g, mirror=True)[0]) for g in star_graphs(2)
-         if structural_weight(g) is None}
+         if weight_rule(g) is None}
     )
     assert len(estimated) == 3
     assert {gid: e.snapped for gid, e in table.entries.items()} == {
