@@ -4,10 +4,11 @@ All outputs are UTF-8 JSON on stdout.  Exit codes: 0 pass, 1 check failure,
 2 usage/parse error.  The weight cache path resolves flag > DEFORMQ_CACHE
 environment variable > ./weights_cache.json.
 
-The parsed arguments are the only configuration; every default lives in
-`_add_common`.  Each command checks only the options it reads: `weight`,
-`star` and `check assoc` (alias `assoc`) the weight options (`_weight_cache`),
-and every command that reads `--order` its range (`_order`).
+The parsed arguments are the only configuration.  Each command accepts only
+the options it reads (argparse refuses any other, exit 2), each default set
+once in an `_add_*` helper.  `weight`, `star` and `check assoc` (alias `assoc`)
+check the weight options (`_weight_cache`), and every command that reads
+`--order` its range (`_order`).
 
 A warm `star` or `check assoc` (every weight it needs snapped in the cache)
 imports only the modules whose code it runs.  The Monte-Carlo estimation
@@ -40,10 +41,8 @@ from deformq.starprod import (
     band_weights,
     class_rows,
     contains_zero,
-    kontsevich_star_series,
-    lift,
+    kontsevich_star,
     point_weights,
-    star_apply,
     star_graphs,
 )
 from deformq.table import MAX_SAMPLES, WeightTable
@@ -52,6 +51,9 @@ DEFAULT_CACHE = "weights_cache.json"
 ENV_CACHE = "DEFORMQ_CACHE"
 # `graphs` refuses to list more labelled graphs than this
 MAX_GRAPHS = 1_000_000
+# `weight` refuses graphs with more aerial vertices than this: estimating one
+# scans its 2 n! relabellings three times (about 2 s per scan at n = 8)
+MAX_AERIAL = 7
 
 
 class UsageError(Exception):
@@ -196,17 +198,6 @@ def _warn_if_not_poisson(pi: PolyVector) -> None:
         _print_not_poisson()
 
 
-def _star_series(pi: PolyVector, order: int, table: WeightTable):
-    """kontsevich_star_series, with its one warning (pi is not Poisson)
-    printed as the CLI's one-line warning."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        series = kontsevich_star_series(pi, order, table)
-    if caught:
-        _print_not_poisson()
-    return series
-
-
 def _series_json(series) -> dict:
     return {
         "order": series.order,
@@ -259,6 +250,8 @@ def cmd_weight(args) -> int:
         raise UsageError(str(exc)) from exc
     if g.nbar != 2:
         raise UsageError("weights are defined for graphs with two boundary vertices")
+    if g.n > MAX_AERIAL:
+        raise UsageError(f"--graph has {g.n} aerial vertices, more than {MAX_AERIAL}")
     # mc mode neither reads nor writes the cache
     table_mode = args.weights == "table"
     table = _load_table(cache) if table_mode else WeightTable()
@@ -284,8 +277,12 @@ def cmd_star(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     table = _snapped_table(args, cache, order)
-    series_ops = _star_series(pi, order, table)
-    out = star_apply(series_ops, lift(f, order), lift(g, order))
+    # its one warning (pi is not Poisson) becomes the CLI's one-line warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = kontsevich_star(pi, f, g, order, table)
+    if caught:
+        _print_not_poisson()
     _emit(_series_json(out))
     return 0
 
@@ -363,18 +360,8 @@ def _check_wick(args) -> dict:
     return wick_report(_order(args), args.seed)
 
 
-CHECKS = {
-    "jacobi": _check_jacobi,
-    "assoc": _check_assoc,
-    "hochschild": _check_hochschild,
-    "wick": _check_wick,
-}
-
-
 def cmd_check(args) -> int:
-    if args.kind in ("jacobi", "assoc") and not args.pi:
-        raise UsageError(f"check {args.kind} requires --pi")
-    report = CHECKS[args.kind](args)
+    report = args.report(args)
     _emit(report)
     return 0 if report["pass"] else 1
 
@@ -384,18 +371,34 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, *, pi=False, fg=False):
+def _add_order(sp):
     sp.add_argument("--order", type=int, default=2)
-    sp.add_argument("--samples", type=int, default=1_000_000)
+
+
+def _add_seed(sp):
     sp.add_argument("--seed", type=int, default=2024)
+
+
+def _add_weight_options(sp):
+    sp.add_argument("--samples", type=int, default=1_000_000)
+    _add_seed(sp)
     sp.add_argument("--weights", choices=("table", "mc"), default="table")
     sp.add_argument("--max-denominator", dest="max_denominator", type=int, default=24)
     sp.add_argument("--cache", default=None)
-    if pi:
-        sp.add_argument("--pi", required=True, help="poisson structure JSON file")
+
+
+def _add_pi(sp, *, fg=False):
+    sp.add_argument("--pi", required=True, help="poisson structure JSON file")
     if fg:
         sp.add_argument("--f", required=True, help="first factor (polynomial text)")
         sp.add_argument("--g", required=True, help="second factor (polynomial text)")
+
+
+def _add_check_assoc(sp):
+    _add_pi(sp)
+    _add_order(sp)
+    _add_weight_options(sp)
+    sp.set_defaults(fn=cmd_check, report=_check_assoc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,27 +415,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weight", help="estimate one graph weight")
     sp.add_argument("--graph", required=True, help="graph id")
-    _add_common(sp)
+    _add_weight_options(sp)
     sp.set_defaults(fn=cmd_weight)
 
     sp = sub.add_parser("star", help="graph-assembled star product")
-    _add_common(sp, pi=True, fg=True)
+    _add_pi(sp, fg=True)
+    _add_order(sp)
+    _add_weight_options(sp)
     sp.set_defaults(fn=cmd_star)
 
     sp = sub.add_parser("moyal", help="closed-form Moyal product")
-    _add_common(sp, pi=True, fg=True)
+    _add_pi(sp, fg=True)
+    _add_order(sp)
     sp.set_defaults(fn=cmd_moyal)
 
-    sp = sub.add_parser("check", help="run a verification suite")
-    sp.add_argument("kind", choices=sorted(CHECKS))
-    sp.add_argument("--pi", default=None)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_check)
+    check = sub.add_parser("check", help="run a verification suite")
+    kinds = check.add_subparsers(dest="kind", required=True)
+    sp = kinds.add_parser("jacobi", help="[pi, pi] = 0")
+    _add_pi(sp)
+    sp.set_defaults(fn=cmd_check, report=_check_jacobi)
+    _add_check_assoc(kinds.add_parser("assoc", help="associativity up to --order"))
+    sp = kinds.add_parser("hochschild", help="Hochschild and Gerstenhaber identities")
+    _add_seed(sp)
+    sp.set_defaults(fn=cmd_check, report=_check_hochschild)
+    sp = kinds.add_parser("wick", help="Moyal against its Wick-pairing oracle")
+    _add_order(sp)
+    _add_seed(sp)
+    sp.set_defaults(fn=cmd_check, report=_check_wick)
 
-    sp = sub.add_parser("assoc", help="alias of `check assoc`")
-    sp.add_argument("--pi", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_check, kind="assoc")
+    _add_check_assoc(sub.add_parser("assoc", help="alias of `check assoc`"))
 
     return parser
 

@@ -168,17 +168,6 @@ class Polynomial(Frozen):
             )
         return Polynomial._trusted(self.dim, partial_terms(self.terms, multi))
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        vals = [_as_fraction(v) for v in point]
-        total = Fraction(0)
-        for key, coeff in self.terms.items():
-            term = coeff
-            for e, v in zip(key, vals):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
     # -- queries -----------------------------------------------------------
 
     @property

@@ -594,15 +594,14 @@ def snap(est: WeightEstimate, max_denominator: int) -> Fraction | None:
     hi = est.mean + 3.0 * est.stderr
     if hi - lo >= 1.0:
         return None  # band this wide always holds several integers
-    candidates: set[Fraction] = set()
+    found: Fraction | None = None
     for q in range(1, max_denominator + 1):
-        p_lo = math.ceil(lo * q)
-        p_hi = math.floor(hi * q)
-        for p in range(p_lo, p_hi + 1):
-            candidates.add(Fraction(p, q))
-    if len(candidates) == 1:
-        return candidates.pop()
-    return None
+        for p in range(math.ceil(lo * q), math.floor(hi * q) + 1):
+            if found is None:
+                found = Fraction(p, q)
+            elif p * found.denominator != q * found.numerator:
+                return None  # a second candidate: no larger q can undo that
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -143,17 +143,6 @@ def test_weight_determinism(capsys, tmp_path):
     assert a == b
 
 
-def test_weight_ignores_order(capsys, tmp_path):
-    # weight estimates one graph; --order selects nothing there
-    code, out = run(
-        capsys,
-        ["weight", "--graph", "1;2;[b1,b2]", "--order", "9",
-         "--cache", str(tmp_path / "w.json")],
-    )
-    assert code == 0
-    assert out["snapped"] == "1/2"
-
-
 def test_weight_mc_mode_leaves_the_cache_untouched(capsys, tmp_path):
     # an unsnapped mc estimate must not replace the snapped entry
     cache = tmp_path / "w.json"
@@ -242,10 +231,9 @@ def test_seed_outside_32_bits_refused_before_any_work(
     # the streams of 4294967291, and 4294967297 those of 1
     _forbid_monte_carlo(monkeypatch)
     cache = tmp_path / "w.json"
-    pi = [] if command[0] == "weight" else ["--pi", so3_file]
+    pi = [] if command[0] == "weight" else ["--pi", so3_file, "--order", "2"]
     code = main(
-        command + pi + ["--order", "2", "--samples", "10000", "--seed", seed,
-                        "--cache", str(cache)]
+        command + pi + ["--samples", "10000", "--seed", seed, "--cache", str(cache)]
     )
     assert code == 2
     assert "--seed" in capsys.readouterr().err
@@ -267,12 +255,30 @@ def test_samples_above_the_cap_refused_before_any_work(
     # the cap would skip it, and 10^11 samples take days
     _forbid_monte_carlo(monkeypatch)
     cache = tmp_path / "w.json"
-    pi = [] if command[0] == "weight" else ["--pi", so3_file]
-    code = main(
-        command + pi + ["--order", "2", "--samples", samples, "--cache", str(cache)]
-    )
+    pi = [] if command[0] == "weight" else ["--pi", so3_file, "--order", "2"]
+    code = main(command + pi + ["--samples", samples, "--cache", str(cache)])
     assert code == 2
     assert "--samples" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+def test_weight_refuses_more_than_seven_aerial_vertices_before_any_work(
+    monkeypatch, capsys, tmp_path
+):
+    # estimating a graph scans its 2 n! relabellings, about 2 s per scan at n = 8
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the request must be refused before any orbit scan")
+
+    monkeypatch.setattr(weights, "orbit", no_scan)
+    _forbid_monte_carlo(monkeypatch)
+    cache = tmp_path / "w.json"
+    # a cycle through 8 aerial vertices: no rule fixes its weight
+    stars = ",".join(f"[{v % 8 + 1},b{1 + v % 2}]" for v in range(1, 9))
+    code = main(
+        ["weight", "--graph", f"8;2;{stars}", "--samples", "10000", "--cache", str(cache)]
+    )
+    assert code == 2
+    assert "8 aerial vertices, more than 7" in capsys.readouterr().err
     assert not cache.exists()
 
 
@@ -358,18 +364,46 @@ def test_negative_order_refused(capsys, const_pi_file, argv):
     assert "--order must be nonnegative" in captured.err
 
 
+# the options each command does not read: a usage error, never ignored
+_UNREAD = {
+    "weight": ["--order"],
+    "moyal": ["--samples", "--seed", "--weights", "--max-denominator", "--cache"],
+    "jacobi": ["--order", "--samples", "--seed", "--weights", "--max-denominator",
+               "--cache"],
+    "hochschild": ["--pi", "--order", "--samples", "--weights", "--max-denominator",
+                   "--cache"],
+    "wick": ["--pi", "--samples", "--weights", "--max-denominator", "--cache"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["check", "hochschild", "--samples", "5"],
-     ["check", "jacobi", "--seed", "-5"],
-     ["moyal", "--f", "x1", "--g", "x2", "--max-denominator", "0"]],
-    ids=["hochschild-samples", "jacobi-seed", "moyal-max-denominator"],
+    "command, option",
+    [(command, option) for command, options in _UNREAD.items() for option in options],
+    ids=lambda value: value.lstrip("-"),
 )
-def test_options_a_command_ignores_are_not_checked(capsys, const_pi_file, argv):
-    pi = [] if argv[1] == "hochschild" else ["--pi", const_pi_file]
-    code, out = run(capsys, argv + pi)
-    assert code == 0
-    assert out is not None
+def test_options_a_command_does_not_read_are_refused(
+    capsys, tmp_path, const_pi_file, command, option
+):
+    argv = {
+        "weight": ["weight", "--graph", "1;2;[b1,b2]"],
+        "moyal": ["moyal", "--pi", const_pi_file, "--f", "x1", "--g", "x2"],
+        "jacobi": ["check", "jacobi", "--pi", const_pi_file],
+        "hochschild": ["check", "hochschild"],
+        "wick": ["check", "wick"],
+    }[command]
+    # a value each option takes where it is read
+    value = {
+        "--order": "2", "--samples": "10000", "--seed": "7", "--weights": "mc",
+        "--max-denominator": "12", "--cache": str(tmp_path / "w.json"),
+        "--pi": const_pi_file,
+    }[option]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option}" in captured.err
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_star_so3_coordinates(capsys, so3_file, cache_arg):
@@ -492,7 +526,7 @@ def test_order_three_refused_before_any_work(
     # the CLI imports the estimators from weights when it calls them
     for name in ("build_weight_table", "estimate_and_snap", "weight_mc"):
         monkeypatch.setattr(weights, name, no_work)
-    monkeypatch.setattr(cli, "kontsevich_star_series", no_work)
+    monkeypatch.setattr(starprod, "kontsevich_star_series", no_work)
     cache = tmp_path / "w.json"
     code = main(
         command
@@ -624,8 +658,11 @@ def test_check_hochschild(capsys):
 
 
 def test_check_requires_pi(capsys):
-    code = main(["check", "jacobi"])
-    assert code == 2
+    for argv in (["check", "jacobi"], ["check", "assoc"], ["assoc"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "the following arguments are required: --pi" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +711,9 @@ def test_zero_denominator_is_usage_error(capsys, tmp_path, cache_arg, command, p
     path = tmp_path / "pi.json"
     components = {"1,2": pi12, "1,3": "-x2", "2,3": "x1"}
     path.write_text(json.dumps({"dim": 3, "components": components}))
-    argv = [command, "--pi", str(path), "--f", f, "--g", "x2", *cache_arg]
+    argv = [command, "--pi", str(path), "--f", f, "--g", "x2"]
+    if command == "star":
+        argv += cache_arg
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -714,14 +753,15 @@ def test_poisson_dim_must_be_a_positive_integer(capsys, tmp_path, dim, cache_arg
 @pytest.mark.parametrize(
     "argv",
     [["star", "--pi", "pi.json", "--f", "x1", "--g", "x2"],
-     ["check", "assoc"],
+     ["check", "assoc", "--pi", "pi.json"],
      ["weight", "--graph", "1;2;[b1,b2]"]],
     ids=["star", "check-assoc", "weight"],
 )
 def test_defaults(monkeypatch, argv):
     monkeypatch.delenv("DEFORMQ_CACHE", raising=False)
     args = cli.build_parser().parse_args(argv)
-    assert args.order == 2
+    if argv[0] != "weight":  # weight reads no --order
+        assert args.order == 2
     assert args.samples == 1_000_000
     assert args.seed == 2024
     assert args.weights == "table"

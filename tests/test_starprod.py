@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,15 @@ from deformq.closedform import (
     moyal_via_wick,
     wick_pairings,
 )
-from deformq.graphs import parse_id
-from deformq.operators import MultiDiffOp, apply_op, hkr, insert, linear_combination
+from deformq.graphs import orbit, parse_id
+from deformq.operators import (
+    MultiDiffOp,
+    apply_op,
+    build_b_gamma,
+    hkr,
+    insert,
+    linear_combination,
+)
 from deformq.polyalg import (
     FormalSeries,
     Polynomial,
@@ -704,6 +712,48 @@ def test_gauge_transform_preserves_induced_bivector(weight_table):
         d_op = rand_gauge(rng, series.dim, 2)
         moved = gauge_transform(series, d_op)
         assert first_order_antisym(moved) == pi
+
+
+def test_wheel_weight_is_a_gauge_direction_at_order_two(weight_table):
+    # the wheel's operator is symmetric and Hochschild-closed, so moving its
+    # weight by delta (every member, with its orbit sign) moves the order-2
+    # series by a gauge transform, D = id + h^2 (-2 delta) B_tadpole; no
+    # identity of the product can fix the wheel (Kontsevich q-alg/9709040 §8)
+    delta = Fraction(1, 7)
+    wheel, tadpole = parse_id("2;2;[2,b1],[1,b2]"), parse_id("2;1;[2,b1],[1,b1]")
+    shifted = WeightTable(weight_table.entries)
+    members = 0
+    for gid, entry in weight_table.entries.items():
+        rep, sign = orbit(parse_id(gid), mirror=True)
+        if rep == wheel:
+            est = WeightEstimate(gid, entry.mean, entry.stderr, entry.samples, entry.seed)
+            shifted.put(est, entry.snapped + sign * delta)
+            members += 1
+    assert members == 8
+
+    def series(pi, table):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a generic pi in 3-D is not Poisson
+            return kontsevich_star_series(pi, 2, table)
+
+    rng = random.Random(71)
+    generic = [_rand_quadratic_bivector(rng, dim) for dim in (2, 2, 3, 3)]
+    for pi in generic + [so3_bivector()]:
+        d_op = GaugeOperator(
+            2,
+            (
+                MultiDiffOp.identity(pi.dim),
+                MultiDiffOp.zero(pi.dim, 1),
+                build_b_gamma(tadpole, [pi, pi]).scale(-2 * delta),
+            ),
+        )
+        committed, moved = series(pi, weight_table), series(pi, shifted)
+        assert moved.ops != committed.ops
+        assert moved.ops == gauge_transform(committed, d_op).ops
+    # on a constant pi the wheel and the tadpole vanish
+    pi = rand_const_bivector(rng, 3)
+    assert series(pi, shifted).ops == series(pi, weight_table).ops
+    assert build_b_gamma(tadpole, [pi, pi]).is_zero
 
 
 def test_gauge_unit_preserved():

@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -427,6 +429,51 @@ def test_weight_entry_json_round_trip():
 def test_snap_wide_band_refused():
     est = WeightEstimate("g", 0.5, 10.0, 1, 1)
     assert snap(est, 24) is None
+
+
+def _snap_reference(mean, stderr, max_denominator):
+    """snap as one loop over every p/q in the band, q <= max_denominator."""
+    lo, hi = mean - 3.0 * stderr, mean + 3.0 * stderr
+    if hi - lo >= 1.0:
+        return None
+    candidates = {
+        Fraction(p, q)
+        for q in range(1, max_denominator + 1)
+        for p in range(math.ceil(lo * q), math.floor(hi * q) + 1)
+    }
+    return candidates.pop() if len(candidates) == 1 else None
+
+
+def test_snap_matches_the_loop_over_every_candidate():
+    rng = random.Random(2024)
+    unique = 0
+    for _ in range(3000):
+        bound = rng.randint(1, 100)
+        if rng.random() < 0.5:
+            q = rng.randint(1, 30)
+            mean = rng.randint(-q, q) / q + rng.gauss(0, 0.002)
+        else:
+            mean = rng.uniform(-1, 1)
+        stderr = 10 ** rng.uniform(-6, -1)
+        want = _snap_reference(mean, stderr, bound)
+        assert snap(WeightEstimate("g", mean, stderr, 1, 1), bound) == want
+        unique += want is not None
+    assert 200 < unique < 2800  # both outcomes are covered
+
+
+def test_snap_stops_at_the_second_candidate():
+    # a loop over every p/q in the band takes hours at a bound of 10^6
+    def too_slow(signum, frame):
+        raise TimeoutError("snap scanned every denominator")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        for mean, stderr in ((0.1234, 0.005), (-0.0413667, 1e-8)):
+            assert snap(WeightEstimate("g", mean, stderr, 1, 1), 10**6) is None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
