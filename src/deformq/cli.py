@@ -52,7 +52,8 @@ ENV_CACHE = "DEFORMQ_CACHE"
 # `graphs` refuses to list more labelled graphs than this
 MAX_GRAPHS = 1_000_000
 # `weight` refuses graphs with more aerial vertices than this: estimating one
-# scans its 2 n! relabellings three times (about 2 s per scan at n = 8)
+# scans its 2 n! relabellings, and those of its representative when that
+# differs (about 2 s per scan at n = 8)
 MAX_AERIAL = 7
 
 

@@ -83,11 +83,6 @@ class GaugeOperator(Frozen):
 
     __slots__ = ("order", "maps")
 
-    def __init__(self, order: int, maps: tuple[MultiDiffOp, ...]):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "maps", maps)
-        self.__post_init__()
-
     def __post_init__(self):
         if len(self.maps) != self.order + 1:
             raise ValueError("maps length must be order + 1")

@@ -15,7 +15,6 @@ import re
 from deformq.record import Frozen
 
 Target = int
-Star = tuple[Target, ...]
 
 
 def boundary(k: int) -> Target:
@@ -32,10 +31,8 @@ def is_boundary(t: Target) -> bool:
 class AdmissibleGraph(Frozen):
     __slots__ = ("n", "nbar", "stars")
 
-    def __init__(self, n: int, nbar: int, stars: tuple[Star, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "nbar", nbar)
-        object.__setattr__(self, "stars", tuple(tuple(s) for s in stars))
+    def __post_init__(self):
+        object.__setattr__(self, "stars", tuple(tuple(s) for s in self.stars))
 
     @property
     def edge_count(self) -> int:

@@ -114,11 +114,6 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 class SkewForm(Frozen):
     __slots__ = ("dim", "matrix")
 
-    def __init__(self, dim: int, matrix: Matrix):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", matrix)
-        self.__post_init__()
-
     def __post_init__(self):
         m = _mat(self.matrix)
         if len(m) != self.dim or any(len(r) != self.dim for r in m):
@@ -145,11 +140,6 @@ class SkewForm(Frozen):
 
 class Subspace(Frozen):
     __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        self.__post_init__()
 
     def __post_init__(self):
         b = _mat(self.basis)
@@ -209,11 +199,6 @@ class LinearDirac(Frozen):
     """Maximal isotropic subspace of V + V* for <(X,a),(Y,b)> = a(Y) + b(X)."""
 
     __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        self.__post_init__()
 
     def __post_init__(self):
         b = _mat(self.basis)
@@ -327,14 +312,6 @@ def symplectic_orthogonal(omega: SkewForm, w: Subspace) -> Subspace:
 
 class SubspaceClass(Frozen):
     __slots__ = ("isotropic", "coisotropic", "symplectic", "lagrangian")
-
-    def __init__(
-        self, isotropic: bool, coisotropic: bool, symplectic: bool, lagrangian: bool
-    ):
-        object.__setattr__(self, "isotropic", isotropic)
-        object.__setattr__(self, "coisotropic", coisotropic)
-        object.__setattr__(self, "symplectic", symplectic)
-        object.__setattr__(self, "lagrangian", lagrangian)
 
 
 def classify_subspace(omega: SkewForm, w: Subspace) -> SubspaceClass:

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from deformq.graphs import AdmissibleGraph, is_boundary
 from deformq.polyalg import (
@@ -36,11 +36,7 @@ TermKey = tuple[DerivIndex, ...]
 class MultiDiffOp(Frozen):
     __slots__ = ("dim", "arity", "terms")
 
-    def __init__(self, dim: int, arity: int, terms: Mapping[TermKey, Polynomial] = {}):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", terms)
-        self.__post_init__()
+    _defaults = {"terms": {}}
 
     def __post_init__(self):
         if self.arity < 1:

@@ -64,10 +64,7 @@ class Polynomial(Frozen):
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: Mapping[Exponent, Fraction] = {}):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
-        self.__post_init__()
+    _defaults = {"terms": {}}
 
     def __post_init__(self):
         clean = {}
@@ -299,11 +296,6 @@ class FormalSeries(Frozen):
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: tuple):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        self.__post_init__()
-
     def __post_init__(self):
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coeffs length must be order + 1")
@@ -374,13 +366,7 @@ class PolyVector(Frozen):
 
     __slots__ = ("dim", "degree", "components")
 
-    def __init__(
-        self, dim: int, degree: int, components: Mapping[IndexTuple, Polynomial] = {}
-    ):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", components)
-        self.__post_init__()
+    _defaults = {"components": {}}
 
     def __post_init__(self):
         if self.degree < 0:

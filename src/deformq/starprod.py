@@ -60,11 +60,6 @@ class StarSeries(Frozen):
 
     __slots__ = ("order", "ops")
 
-    def __init__(self, order: int, ops: tuple[MultiDiffOp, ...]):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "ops", ops)
-        self.__post_init__()
-
     def __post_init__(self):
         if len(self.ops) != self.order + 1:
             raise ValueError("ops length must be order + 1")

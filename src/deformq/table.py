@@ -23,15 +23,6 @@ MAX_SAMPLES = 64_000_000
 class WeightEntry(Frozen):
     __slots__ = ("mean", "stderr", "samples", "seed", "snapped")
 
-    def __init__(
-        self, mean: float, stderr: float, samples: int, seed: int, snapped: Fraction | None
-    ):
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "stderr", stderr)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "snapped", snapped)
-
     def to_json(self) -> dict:
         return {
             "mean": self.mean,

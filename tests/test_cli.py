@@ -282,6 +282,23 @@ def test_weight_refuses_more_than_seven_aerial_vertices_before_any_work(
     assert not cache.exists()
 
 
+@pytest.mark.parametrize(
+    "graph, scans", [("2;2;[2,b1],[b1,b2]", 1), ("2;2;[2,b2],[b1,b2]", 2)]
+)
+def test_weight_scans_each_orbit_once(graph, scans, capsys, tmp_path):
+    # weight_rule and estimate_and_snap ask for the graph's orbit and
+    # weight_mc for its representative's; the second graph is the mirror
+    # image of the first, which is its representative
+    weights.orbit.cache_clear()
+    code, out = run(
+        capsys,
+        ["weight", "--graph", graph, "--weights", "mc", "--samples", "10000",
+         "--seed", "7", "--cache", str(tmp_path / "w.json")],
+    )
+    assert code == 0 and out["graph"] == graph
+    assert weights.orbit.cache_info().misses == scans
+
+
 def test_weight_needs_two_boundary_vertices(monkeypatch, capsys, tmp_path):
     _forbid_monte_carlo(monkeypatch)
     cache = tmp_path / "w.json"

@@ -4,16 +4,20 @@ by their fields and refusing assignment; each repr below is the text the
 dataclass generated."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import deformq
 from deformq.closedform import GaugeOperator
 from deformq.graphs import AdmissibleGraph
 from deformq.linsymp import LinearDirac, SkewForm, Subspace, SubspaceClass
 from deformq.operators import MultiDiffOp
 from deformq.polyalg import FormalSeries, Polynomial, PolyVector
+from deformq.record import Frozen
 from deformq.starprod import StarSeries
 from deformq.weights import WeightEntry, WeightEstimate
 
@@ -94,3 +98,33 @@ def test_value_class_contract(cls, args, kwargs, other_args, text):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs", [(c[0], c[2]) for c in CASES], ids=[c[0].__name__ for c in CASES]
+)
+def test_constructor_refuses_a_call_that_does_not_bind_every_field_once(cls, kwargs):
+    fields = cls.__slots__
+    full = tuple(kwargs[name] for name in fields)
+    assert cls(*full) == cls(**kwargs)
+    missing = {name: value for name, value in kwargs.items() if name != fields[0]}
+    with pytest.raises(TypeError, match="missing"):
+        cls(**missing)
+    with pytest.raises(TypeError, match="positional"):
+        cls(*full, full[0])
+    with pytest.raises(TypeError, match="unexpected"):
+        cls(**kwargs, unknown=1)
+    with pytest.raises(TypeError, match="multiple"):
+        cls(full[0], **kwargs)
+
+
+def test_every_value_class_has_a_contract_case():
+    for module in pkgutil.iter_modules(deformq.__path__):
+        importlib.import_module(f"deformq.{module.name}")
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("deformq."):
+                found.add(sub)
+    assert found == {c[0] for c in CASES}

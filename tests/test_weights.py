@@ -476,6 +476,25 @@ def test_snap_stops_at_the_second_candidate():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_snap_with_one_candidate_does_not_scan_every_denominator():
+    # a loop over every q <= 10^8 takes about 45 s when 1/2 is the only candidate
+    def too_slow(signum, frame):
+        raise TimeoutError("snap scanned every denominator")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        assert snap(WeightEstimate("g", 0.5, 1e-10, 1, 1), 10**8) == Fraction(1, 2)
+        # 49999999/99999999 lies 5e-9 from 1/2, inside a band of 3e-8
+        assert snap(WeightEstimate("g", 0.5, 1e-8, 1, 1), 10**8) is None
+        assert snap(WeightEstimate("g", 0.5, 1e-8, 1, 1), 10**7) == Fraction(1, 2)
+        assert snap(WeightEstimate("g", 2.0, 1e-10, 1, 1), 10**8) == Fraction(2)
+        assert snap(WeightEstimate("g", 1 / 3, 1e-10, 1, 1), 10**8) == Fraction(1, 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # ---------------------------------------------------------------------------
 # orbits and the unreached-boundary rule
 # ---------------------------------------------------------------------------
