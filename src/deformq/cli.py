@@ -1,8 +1,8 @@
 """Command-line surface: graphs, weight, star, moyal, assoc, check.
 
 All outputs are UTF-8 JSON on stdout.  Exit codes: 0 pass, 1 check failure,
-2 usage/parse error.  The weight cache path resolves flag > DEFORMQ_CACHE
-environment variable > ./weights_cache.json.
+2 usage/parse error (with empty stdout); any other exit is a bug.  The
+weight cache path resolves flag > DEFORMQ_CACHE > ./weights_cache.json.
 
 The parsed arguments are the only configuration.  Each command accepts only
 the options it reads (argparse refuses any other, exit 2), each default set
@@ -100,12 +100,16 @@ def _max_samples(args) -> int:
 
 
 def load_poisson(path: str) -> PolyVector:
-    """Poisson JSON: {"dim": d, "components": {"i,j": "poly-string"}}."""
+    """Poisson JSON: {"dim": d, "components": {"i,j": "poly-string"}} and no
+    other key (a misspelt "components" would read as pi = 0)."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read poisson file {path}: {exc}") from exc
     try:
+        unknown = set(data) - {"dim", "components"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         dim = data["dim"]
         if type(dim) is not int or dim < 1:
             raise ValueError(f"dim must be an integer >= 1, not {dim!r}")

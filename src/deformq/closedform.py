@@ -191,8 +191,7 @@ def moyal_via_wick(
         backward = _theta(t1 - t2) * pi.component((b, a)).constant_term()
         return forward + backward
 
-    coeffs = [Polynomial.zero(d) for _ in range(order + 1)]
-    coeffs[0] = f * g
+    coeffs = [f * g] + [Polynomial.zero(d)] * order
     # Only r fields at u and s = r at v can pair up: with r != s some pair
     # sits at one point, and theta(0) = 0 zeroes it (checked in tests).
     for r in range(1, min(f.total_degree(), g.total_degree(), order) + 1):

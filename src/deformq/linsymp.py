@@ -24,10 +24,6 @@ def _mat(rows) -> Matrix:
     return tuple(_vec(r) for r in rows)
 
 
-def zeros(n: int, m: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def identity(n: int) -> Matrix:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)

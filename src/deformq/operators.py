@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import add
 from typing import Iterable, Sequence
 
@@ -261,13 +261,6 @@ def linear_combination(
 # ---------------------------------------------------------------------------
 
 
-def _fact_product(tup):
-    out = 1
-    for t in tup:
-        out *= factorial(t)
-    return out
-
-
 def multiindex_splits(multi: DerivIndex, parts: int):
     """Split a derivative multi-index into `parts` ordered pieces.
 
@@ -281,7 +274,7 @@ def multiindex_splits(multi: DerivIndex, parts: int):
         for combo in itertools.product(range(count + 1), repeat=parts):
             if sum(combo) == count:
                 options.append(
-                    (combo, factorial(count) // _fact_product(combo))
+                    (combo, factorial(count) // prod(map(factorial, combo)))
                 )
         per_var.append(options)
     for chosen in itertools.product(*per_var):
@@ -408,17 +401,10 @@ def hkr(xi: PolyVector) -> MultiDiffOp:
         )
     d, k = xi.dim, xi.degree
     inv = Fraction(1, factorial(k))
-    terms: dict[TermKey, Polynomial] = {}
-    for idx in itertools.permutations(range(1, d + 1), k):
-        comp = xi.component(idx)
-        if comp.is_zero:
-            continue
-        key = []
-        for i in idx:
-            deriv = [0] * d
-            deriv[i - 1] = 1
-            key.append(tuple(deriv))
-        key = tuple(key)
-        contrib = comp.scale(inv)
-        terms[key] = terms[key] + contrib if key in terms else contrib
+    # one term per skew index tuple: a first-order derivative in each slot
+    terms = {
+        tuple(tuple(int(j == i) for j in range(1, d + 1)) for i in idx):
+            Polynomial(d, {e: inv * c for e, c in comp.items()})
+        for idx, comp in _skew_components(xi)
+    }
     return MultiDiffOp(d, k, terms)

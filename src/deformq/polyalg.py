@@ -125,26 +125,13 @@ class Polynomial(Frozen):
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.dim, {k: -c for k, c in self.terms.items()})
 
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
         return Polynomial._trusted(self.dim, mul_terms(self.terms, other.terms))
-
-    def __rmul__(self, other) -> "Polynomial":
-        return self * other
 
     def scale(self, c) -> "Polynomial":
         c = _as_fraction(c)
         return Polynomial(self.dim, {k: c * v for k, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.const(self.dim, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- calculus ----------------------------------------------------------
 
@@ -434,9 +421,6 @@ class PolyVector(Frozen):
         for key, poly in other.components.items():
             out[key] = out[key] + poly if key in out else poly
         return PolyVector(self.dim, self.degree, out)
-
-    def __sub__(self, other: "PolyVector") -> "PolyVector":
-        return self + (-other)
 
     def __neg__(self) -> "PolyVector":
         return PolyVector(

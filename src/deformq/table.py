@@ -34,6 +34,10 @@ class WeightEntry(Frozen):
 
     @staticmethod
     def from_json(data: dict) -> "WeightEntry":
+        # a misspelt "snapped" would read as not snapped and be re-estimated
+        unknown = set(data) - set(WeightEntry.__slots__)
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         snapped = data.get("snapped")
         stderr = _finite(data["stderr"])
         if stderr < 0:

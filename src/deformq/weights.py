@@ -76,7 +76,6 @@ the Monte-Carlo functions, so that a weight fixed by a rule loads neither.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import os
@@ -97,10 +96,6 @@ from deformq.table import MAX_SAMPLES, WeightEntry, WeightTable  # noqa: F401
 TWO_PI = 2.0 * math.pi
 CHUNK = 1 << 16
 BLOCK = 8192
-
-# weight_rule and estimate_and_snap ask for a graph's orbit and weight_mc for
-# its representative's; a scan runs 2 n! relabellings (0.17 s at n = 7)
-orbit = functools.lru_cache(maxsize=1024)(orbit)
 
 
 def angle(z: complex, w: complex) -> float:
@@ -602,7 +597,9 @@ def snap(est: WeightEstimate, max_denominator: int) -> Fraction | None:
     inv = pow(p, -1, q)  # 0 when q == 1: both neighbours have denominator n
     b, d = n - (n - inv) % q, n - (n + inv) % q
     fractions = [(p, q), ((p * b - 1) // q, b), ((p * d + 1) // q, d)]
-    inside = [math.ceil(lo * y) <= x <= math.floor(hi * y) for x, y in fractions]
+    # exact for any bound: a float product lo * y overflows past 1.8e308
+    lo, hi = Fraction(lo), Fraction(hi)
+    inside = [lo * y <= x <= hi * y for x, y in fractions]
     return near if inside == [True, False, False] else None
 
 

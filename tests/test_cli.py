@@ -719,6 +719,20 @@ def test_poisson_file_of_wrong_shape_is_usage_error(capsys, tmp_path, text):
     assert "malformed poisson file" in capsys.readouterr().err
 
 
+def test_poisson_file_with_an_unknown_key_is_usage_error(
+    capsys, tmp_path, cache_arg
+):
+    # a misspelt "components" must not read as pi = 0
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps({"dim": 3, "compnents": {"1,2": "x3"}}))
+    star = ["star", "--pi", str(path), "--f", "x1", "--g", "x2", *cache_arg]
+    for argv in (star, ["check", "jacobi", "--pi", str(path)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: malformed poisson file {path}: unknown keys ['compnents']\n"
+
+
 @pytest.mark.parametrize(
     "command, pi12, f",
     [("star", "x3", "1/0"), ("moyal", "x3", "1/0"), ("star", "1/0 x1", "x1")],
@@ -857,6 +871,23 @@ def test_malformed_cache_entry_is_usage_error(
     code = main([*command, "--pi", so3_file, "--order", "2", "--cache", str(cache)])
     assert code == 2
     assert "cannot read weight cache" in capsys.readouterr().err
+
+
+def test_cache_entry_with_an_unknown_key_is_usage_error(
+    capsys, so3_file, weight_cache_path, tmp_path
+):
+    # a misspelt "snapped" must not read as unsnapped, which would
+    # re-estimate the entry and rewrite the cache
+    entries = json.loads(Path(weight_cache_path).read_text())
+    entries["1;2;[b1,b1]"]["snaped"] = entries["1;2;[b1,b1]"].pop("snapped")
+    cache = tmp_path / "misspelt.json"
+    text = json.dumps(entries)
+    cache.write_text(text)
+    code = main(["star", "--pi", so3_file, "--f", "x1", "--g", "x2", "--cache", str(cache)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "cannot read weight cache" in err and "unknown keys ['snaped']" in err
+    assert cache.read_text() == text
 
 
 @pytest.mark.parametrize(

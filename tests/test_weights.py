@@ -495,6 +495,12 @@ def test_snap_with_one_candidate_does_not_scan_every_denominator():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_snap_is_exact_for_a_bound_past_the_float_range():
+    # a float product lo * q overflows for q above about 1.8e308
+    assert snap(WeightEstimate("g", -0.0833, 0.002, 10000, 1), 10**400) is None
+    assert snap(WeightEstimate("g", 0.5, 1e-300, 1, 1), 10**400) == Fraction(1, 2)
+
+
 # ---------------------------------------------------------------------------
 # orbits and the unreached-boundary rule
 # ---------------------------------------------------------------------------
@@ -681,6 +687,37 @@ def test_build_weight_table_estimates_each_orbit_once(monkeypatch):
     assert {gid: e.snapped for gid, e in table.entries.items()} == {
         gid: e.snapped for gid, e in committed.entries.items()
     }
+
+
+def test_estimate_and_snap_quadruples_the_samples_until_the_band_snaps(monkeypatch):
+    # the 3-sigma band at 1M samples holds -1/12 and -2/23, the one at 4M
+    # only -1/12
+    rep, member = "2;2;[2,b1],[b1,b2]", "2;2;[2,b2],[b1,b2]"
+    rounds = []
+
+    def stub(g, samples, seed, boundary_points):
+        rounds.append((canonical_id(g), samples, seed))
+        stderr = 0.002 if samples < 4_000_000 else 0.0005
+        return WeightEstimate(canonical_id(g), -1 / 12, stderr, samples, seed)
+
+    monkeypatch.setattr(weights, "_sample_weight", stub)
+    assert snap(stub(parse_id(rep), 1_000_000, 0, None), 24) is None
+    rounds.clear()
+    rseed = graph_seed(7, rep)
+    memo = {}
+    est, val = estimate_and_snap(parse_id(rep), 7, memo=memo)
+    assert rounds == [(rep, 1_000_000, rseed), (rep, 4_000_000, rseed)]
+    assert (est.graph, est.samples, val) == (rep, 4_000_000, Fraction(-1, 12))
+    # the mirror member reuses the memo, with its orbit sign -1
+    est, val = estimate_and_snap(parse_id(member), 7, memo=memo)
+    assert len(rounds) == 2
+    assert (est.graph, est.mean, est.stderr) == (member, 1 / 12, 0.0005)
+    assert (est.samples, est.seed, val) == (4_000_000, rseed, Fraction(1, 12))
+    # a cap of 1M stops after the first, ambiguous round
+    rounds.clear()
+    est, val = estimate_and_snap(parse_id(member), 7, max_samples=1_000_000)
+    assert rounds == [(rep, 1_000_000, rseed)]
+    assert (est.samples, val) == (1_000_000, None)
 
 
 def test_order_two_table_rederived_from_empty_cache():
