@@ -1,17 +1,17 @@
 """Command-line surface: graphs, weight, star, moyal, assoc, check.
 
 All outputs are UTF-8 JSON on stdout.  Exit codes: 0 pass, 1 check failure,
-2 usage/parse error (with empty stdout); any other exit is a bug.  The
-weight cache path resolves flag > DEFORMQ_CACHE > ./weights_cache.json.
+2 usage/parse error, 70 a crash (a bug; traceback on stderr); stdout is empty
+on 2 and 70.  The cache path resolves flag > DEFORMQ_CACHE > ./weights_cache.json.
 
 The parsed arguments are the only configuration.  Each command accepts only
 the options it reads (argparse refuses any other, exit 2), each default set
 once in an `_add_*` helper.  `weight`, `star` and `check assoc` (alias `assoc`)
-check the weight options (`_weight_cache`), and every command that reads
-`--order` its range (`_order`).
-
-A warm `star` or `check assoc` (every weight it needs snapped in the cache)
-imports only the modules whose code it runs.  The Monte-Carlo estimation
+check the weight options (`_weight_cache`) and get their weights from
+`_weight_table`, which in table mode reads a snapped weight, never re-samples
+it; every command that reads `--order` checks its range (`_order`).  A warm
+`star` or `check assoc` (every weight it needs snapped in the cache) imports
+only the modules whose code it runs.  The Monte-Carlo estimation
 (`weights`), the closed forms (`closedform`) and the randomised suites
 (`suites`) are imported inside the handlers that use them.
 """
@@ -36,7 +36,6 @@ from deformq.polyalg import (
     parse_polynomial,
 )
 from deformq.starprod import (
-    MissingWeightError,
     associator_bound,
     band_weights,
     class_rows,
@@ -94,11 +93,6 @@ def _weight_cache(args) -> Path:
     return Path(args.cache or os.environ.get(ENV_CACHE) or DEFAULT_CACHE)
 
 
-def _max_samples(args) -> int:
-    """mc mode estimates at exactly --samples; table mode escalates."""
-    return args.samples if args.weights == "mc" else MAX_SAMPLES
-
-
 def load_poisson(path: str) -> PolyVector:
     """Poisson JSON: {"dim": d, "components": {"i,j": "poly-string"}} and no
     other key (a misspelt "components" would read as pi = 0)."""
@@ -152,38 +146,43 @@ def _load_table(cache: Path) -> WeightTable:
     return WeightTable()
 
 
-def _estimate(args, graphs, table: WeightTable) -> WeightTable:
-    """build_weight_table on `table` for the given graphs, at the weight
-    options: it estimates each graph without a snapped entry."""
-    from deformq.weights import build_weight_table
+def _star_graphs(order: int) -> dict:
+    """Every graph the weight table must cover up to `order`, by id."""
+    return {canonical_id(g): g for g in star_graphs(order)}
 
-    return build_weight_table(
-        graphs,
-        seed=args.seed,
-        max_denominator=args.max_denominator,
-        initial_samples=args.samples,
-        table=table,
-        max_samples=_max_samples(args),
-    )
+
+def _weight_table(args, cache: Path, graphs: dict) -> WeightTable:
+    """The weight table for `graphs` (id -> graph) at the weight options: mc
+    mode estimates each graph afresh at exactly --samples and reads and
+    writes no file; table mode loads the cache, estimates only the graphs
+    without a snapped entry (escalating up to MAX_SAMPLES) and saves the
+    cache if an entry changed."""
+    mc = args.weights == "mc"
+    table = WeightTable() if mc else _load_table(cache)
+    # a warm cache needs no estimate, nor the module that makes them
+    if any(table.exact(gid) is None for gid in graphs):
+        from deformq.weights import build_weight_table
+
+        before = dict(table.entries)
+        table = build_weight_table(
+            graphs.values(),
+            seed=args.seed,
+            max_denominator=args.max_denominator,
+            initial_samples=args.samples,
+            table=table,
+            max_samples=args.samples if mc else MAX_SAMPLES,
+        )
+        if not mc and table.entries != before:
+            table.save(cache)
+    return table
 
 
 def _snapped_table(args, cache: Path, order: int) -> WeightTable:
-    """Snapped weights for every graph up to `order`, where a graph that
-    fails to snap is a check failure: table mode estimates and persists the
-    ones the cache lacks, mc mode estimates all at exactly --samples."""
-    graphs = star_graphs(order)
-    ids = [canonical_id(g) for g in graphs]
-    if args.weights == "mc":
-        table = _estimate(args, graphs, WeightTable())
-    else:
-        table = _load_table(cache)
-        # a warm cache needs no estimate, nor the module that makes them
-        if any(table.exact(gid) is None for gid in ids):
-            before = dict(table.entries)
-            table = _estimate(args, graphs, table)
-            if table.entries != before:
-                table.save(cache)
-    unsnapped = [gid for gid in ids if table.exact(gid) is None]
+    """_weight_table for every graph up to `order`, where a graph that fails
+    to snap is a check failure."""
+    graphs = _star_graphs(order)
+    table = _weight_table(args, cache, graphs)
+    unsnapped = [gid for gid in graphs if table.exact(gid) is None]
     if unsnapped:
         raise CheckFailure(
             f"weights failed to snap uniquely: {', '.join(sorted(unsnapped))}"
@@ -246,8 +245,6 @@ def cmd_graphs(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    from deformq.weights import estimate_and_snap
-
     cache = _weight_cache(args)
     try:
         g = parse_id(args.graph)
@@ -257,18 +254,9 @@ def cmd_weight(args) -> int:
         raise UsageError("weights are defined for graphs with two boundary vertices")
     if g.n > MAX_AERIAL:
         raise UsageError(f"--graph has {g.n} aerial vertices, more than {MAX_AERIAL}")
-    # mc mode neither reads nor writes the cache
-    table_mode = args.weights == "table"
-    table = _load_table(cache) if table_mode else WeightTable()
-    est, snapped = estimate_and_snap(
-        g, args.seed, args.max_denominator, args.samples, _max_samples(args)
-    )
-    table.put(est, snapped)
-    if table_mode:
-        table.save(cache)
-    record = table.get(est.graph).to_json()
-    record["graph"] = est.graph
-    _emit(record)
+    gid = canonical_id(g)
+    entry = _weight_table(args, cache, {gid: g}).get(gid)
+    _emit({**entry.to_json(), "graph": gid})
     return 0
 
 
@@ -334,7 +322,7 @@ def _check_assoc(args) -> dict:
         weight = point_weights(_snapped_table(args, cache, order))
     else:
         # raw estimates, one per orbit, each within its 3-sigma band
-        weight = band_weights(_estimate(args, star_graphs(order), WeightTable()))
+        weight = band_weights(_weight_table(args, cache, _star_graphs(order)))
         report["samples"] = args.samples
     bound = associator_bound(
         [class_rows(pi, n, weight) for n in range(order + 1)]
@@ -461,12 +449,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MissingWeightError as exc:
-        print(f"error: missing weights: {exc}", file=sys.stderr)
-        return 2
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except Exception:
+        import traceback  # not at the top: it would cost every request ~5 ms
+
+        traceback.print_exc()
+        return 70
 
 
 if __name__ == "__main__":

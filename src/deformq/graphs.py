@@ -107,8 +107,11 @@ def _order_key(g: AdmissibleGraph) -> tuple:
 
 
 # one cache for the operators, the weight rules and the estimates: a scan
-# runs 2 n! relabellings (0.17 s at n = 7)
-@functools.lru_cache(maxsize=1024)
+# runs 2 n! relabellings (0.17 s at n = 7).  Unbounded, so that an order-3
+# assembly keeps all 1 728 of its scans; a CLI run, refused above order 2,
+# adds at most the graphs up to order 2, or a `weight` graph and its
+# representative
+@functools.cache
 def orbit(g: AdmissibleGraph, mirror: bool = False) -> tuple[AdmissibleGraph, int]:
     """(rep, sign): rep is the least image of g, in the order of
     enumerate_graphs, under relabelling of the aerial vertices and sorting

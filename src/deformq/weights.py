@@ -626,7 +626,8 @@ def estimate_and_snap(
     max_samples: int = MAX_SAMPLES,
     memo: dict | None = None,
 ) -> tuple[WeightEstimate, Fraction | None]:
-    """Estimate with quadrupling sample counts until snapping is unambiguous.
+    """Estimate with quadrupling sample counts until snapping is unambiguous
+    or a round of max_samples has run.
 
     A graph whose weight a rule fixes (weight_rule) returns it directly.  Any other graph
     is estimated through its orbit representative (over relabelling, star
@@ -651,7 +652,7 @@ def estimate_and_snap(
             snapped = snap(est, max_denominator)
             if snapped is not None or samples >= max_samples:
                 break
-            samples *= 4
+            samples = min(4 * samples, max_samples)
         memo[rid] = est, snapped
     est, snapped = memo[rid]
     return (

@@ -88,6 +88,18 @@ def test_graphs_refuses_more_than_a_million_before_enumerating(
     assert code == 0 and out["count"] == 0
 
 
+def test_a_crash_exits_70_with_empty_stdout(monkeypatch, capsys):
+    # an uncaught exception must not share exit 1 with a failed check
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_graphs", crash)
+    code = main(["graphs", "--n", "1", "--nbar", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (70, "")
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
 def test_unknown_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["graphs", "--bogus"])
@@ -155,6 +167,31 @@ def test_weight_mc_mode_leaves_the_cache_untouched(capsys, tmp_path):
     )
     assert code == 0 and out["snapped"] is None
     assert hashlib.md5(cache.read_bytes()).hexdigest() == before
+
+
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--max-denominator", "5", "--samples", "10000"]],
+    ids=["defaults", "never-snapping-sampler"],
+)
+def test_weight_reads_a_snapped_entry_without_sampling_or_writing(
+    monkeypatch, capsys, tmp_path, options
+):
+    # table mode serves the cached snapped value; with --max-denominator 5,
+    # under which -1/12 has no candidate, a re-estimate would escalate to
+    # MAX_SAMPLES and save "snapped": null over it
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a snapped entry must not be re-sampled")
+
+    monkeypatch.setattr(weights, "_sample_weight", no_sampling)
+    cache = tmp_path / "w.json"
+    shutil.copyfile(Path(__file__).parent / ".weight_cache.json", cache)
+    before = cache.read_bytes()
+    gid = "2;2;[2,b1],[b1,b2]"
+    code, out = run(capsys, ["weight", "--graph", gid, *options, "--cache", str(cache)])
+    assert code == 0
+    assert out == {**json.loads(before)[gid], "graph": gid}
+    assert cache.read_bytes() == before
 
 
 def test_weight_mc_mode_creates_no_cache(capsys, tmp_path):

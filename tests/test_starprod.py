@@ -505,6 +505,21 @@ def test_class_rows_name_every_missing_graph():
     assert "1;2;[b1,b2]" in str(info.value) and "1;2;[b2,b1]" in str(info.value)
 
 
+def test_orbit_cache_holds_an_order_three_assembly():
+    # the 1 728 order-3 graphs are scanned once: a second assembly in the
+    # same process finds every scan in graphs.orbit's cache
+    from deformq.starprod import _class_operators
+
+    pi = PolyVector(2, 2, {(1, 2): P("x1^2 + 2 x1 x2 + 3 x2^2", 2)})
+    orbit.cache_clear()
+    _class_operators(pi, 3)
+    first = orbit.cache_info()
+    _class_operators(pi, 3)
+    second = orbit.cache_info()
+    assert (first.hits, first.misses) == (0, 1728)
+    assert (second.hits, second.misses) == (1728, 1728)
+
+
 # ---------------------------------------------------------------------------
 # operator-level Maurer-Cartan equation
 # ---------------------------------------------------------------------------

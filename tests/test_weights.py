@@ -720,6 +720,21 @@ def test_estimate_and_snap_quadruples_the_samples_until_the_band_snaps(monkeypat
     assert (est.samples, val) == (1_000_000, None)
 
 
+def test_estimate_and_snap_stops_escalating_at_the_cap(monkeypatch):
+    # a band 3 wide never snaps: from 10 000 samples the rounds quadruple up
+    # to MAX_SAMPLES, and the last round runs exactly the cap
+    rounds = []
+
+    def never_snaps(g, samples, seed, boundary_points):
+        rounds.append(samples)
+        return WeightEstimate(canonical_id(g), 0.0, 0.5, samples, seed)
+
+    monkeypatch.setattr(weights, "_sample_weight", never_snaps)
+    est, val = estimate_and_snap(parse_id("2;2;[2,b1],[b1,b2]"), 7, 24, 10_000)
+    assert rounds == [10_000 * 4**k for k in range(7)] + [weights.MAX_SAMPLES]
+    assert (est.samples, val) == (weights.MAX_SAMPLES, None)
+
+
 def test_order_two_table_rederived_from_empty_cache():
     # the whole order-2 table from scratch: three Monte-Carlo orbits at 1M
     # samples must reproduce every committed snapped value
