@@ -154,9 +154,9 @@ def _star_graphs(order: int) -> dict:
 def _weight_table(args, cache: Path, graphs: dict) -> WeightTable:
     """The weight table for `graphs` (id -> graph) at the weight options: mc
     mode estimates each graph afresh at exactly --samples and reads and
-    writes no file; table mode loads the cache, estimates only the graphs
-    without a snapped entry (escalating up to MAX_SAMPLES) and saves the
-    cache if an entry changed."""
+    writes no file; table mode loads the cache, fills the graphs without a
+    snapped entry (build_weight_table: one already run to MAX_SAMPLES is
+    snapped again, any other estimated up to it) and saves it if one changed."""
     mc = args.weights == "mc"
     table = WeightTable() if mc else _load_table(cache)
     # a warm cache needs no estimate, nor the module that makes them

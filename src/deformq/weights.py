@@ -66,8 +66,8 @@ pairwise summation in chunk order.  Nothing a sum depends on varies with
 the block or the worker, so estimates are bit-identical for any number of
 cores.
 
-The weight table itself (WeightTable, WeightEntry, MAX_SAMPLES) lives in
-`table`, and is imported here under the same names.  The exact-algebra
+The weight table itself lives in `table`; WeightTable and MAX_SAMPLES,
+which the builds here use, are imported from it.  The exact-algebra
 commands (star and check assoc) import this module only when the cache lacks
 a snapped weight they need; numpy and the process pool are imported inside
 the Monte-Carlo functions, so that a weight fixed by a rule loads neither.
@@ -91,7 +91,7 @@ from deformq.graphs import (
     orbit,
 )
 from deformq.record import Frozen
-from deformq.table import MAX_SAMPLES, WeightEntry, WeightTable  # noqa: F401
+from deformq.table import MAX_SAMPLES, WeightTable
 
 TWO_PI = 2.0 * math.pi
 CHUNK = 1 << 16
@@ -671,13 +671,26 @@ def build_weight_table(
 ) -> WeightTable:
     """Snapped weights for the given graphs; existing snapped entries are kept.
 
-    Each orbit is estimated at most once per call; every requested graph
-    gets its own entry under its labelled id."""
+    An unsnapped entry that ran to max_samples on the stream this call would
+    use is snapped again from its stored estimate, which a new run would
+    only reproduce.  Each orbit is estimated at most once per call; every
+    requested graph gets its own entry under its labelled id."""
     table = table if table is not None else WeightTable()
     memo: dict = {}
     for g in graphs:
         gid = canonical_id(g)
-        if table.exact(gid) is not None:
+        e = table.get(gid)
+        if e is not None and e.snapped is not None:
+            continue
+        if (
+            e is not None
+            and e.samples >= max_samples
+            and e.stderr > 0
+            and weight_rule(g) is None
+            and e.seed == graph_seed(seed, canonical_id(orbit(g, mirror=True)[0]))
+        ):
+            est = WeightEstimate(gid, e.mean, e.stderr, e.samples, e.seed)
+            table.put(est, snap(est, max_denominator))
             continue
         est, snapped = estimate_and_snap(
             g, seed, max_denominator, initial_samples, max_samples, memo

@@ -565,6 +565,85 @@ def test_star_ignores_unsnapped_graphs_it_does_not_use(
     assert out["coeffs"] == ["x1 x2", "x3"]
 
 
+CAPPED = "2;2;[2,b1],[b1,b2]"
+
+
+def _capped_cache(tmp_path, **changes):
+    """A copy of the committed cache whose CAPPED entry is unsnapped after a
+    run to the 64M cap, with `changes` applied; its seed is already the
+    stream key graph_seed(2024, its representative's id)."""
+    entries = json.loads((Path(__file__).parent / ".weight_cache.json").read_text())
+    entries[CAPPED].update({"snapped": None, "samples": 64_000_000, **changes})
+    cache = tmp_path / "capped.json"
+    cache.write_text(json.dumps(entries, indent=1) + "\n")
+    return cache
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("an entry estimated to the cap must not be sampled again")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["star", "--f", "x1", "--g", "x2"], ["check", "assoc", "--order", "2"]],
+    ids=["star", "check-assoc"],
+)
+def test_a_capped_entry_that_cannot_snap_fails_without_sampling(
+    monkeypatch, capsys, tmp_path, so3_file, command
+):
+    # a 3-sigma band of 0.06 around -1/12 holds several fractions p/q, q <= 24
+    monkeypatch.setattr(weights, "_sample_weight", _no_sampling)
+    cache = _capped_cache(tmp_path, stderr=0.01)
+    before = cache.read_bytes()
+    code = main([*command, "--pi", so3_file, "--cache", str(cache)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"check failed: weights failed to snap uniquely: {CAPPED}\n"
+    assert cache.read_bytes() == before
+
+
+def test_weight_prints_a_capped_entry_without_sampling(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(weights, "_sample_weight", _no_sampling)
+    cache = _capped_cache(tmp_path, stderr=0.01)
+    before = cache.read_bytes()
+    code, out = run(capsys, ["weight", "--graph", CAPPED, "--cache", str(cache)])
+    assert code == 0
+    assert out == {**json.loads(before)[CAPPED], "graph": CAPPED}
+    assert cache.read_bytes() == before
+
+
+def test_a_capped_entry_snaps_again_from_its_stored_estimate(
+    monkeypatch, capsys, tmp_path, so3_file, weight_cache_path
+):
+    argv = ["star", "--pi", so3_file, "--f", "x1 x2", "--g", "x3^2 + x1"]
+    assert main([*argv, "--cache", weight_cache_path]) == 0
+    committed = capsys.readouterr().out
+    monkeypatch.setattr(weights, "_sample_weight", _no_sampling)
+    cache = _capped_cache(tmp_path)
+    stored = json.loads(cache.read_text())[CAPPED]
+    assert main([*argv, "--cache", str(cache)]) == 0
+    assert capsys.readouterr().out == committed
+    assert json.loads(cache.read_text())[CAPPED] == {**stored, "snapped": "-1/12"}
+
+
+def test_an_entry_below_the_cap_is_still_escalated(
+    monkeypatch, capsys, tmp_path, so3_file
+):
+    rounds = []
+
+    def never_snapping(g, samples, seed, boundary_points=(0.0, 1.0)):
+        rounds.append(samples)
+        # a 3-sigma band of width 6 always holds several candidates
+        return weights.WeightEstimate(CAPPED, -1 / 12, 1.0, samples, seed)
+
+    monkeypatch.setattr(weights, "_sample_weight", never_snapping)
+    cache = _capped_cache(tmp_path, samples=1_000_000)
+    argv = ["star", "--pi", so3_file, "--f", "x1", "--g", "x2", "--cache", str(cache)]
+    assert main(argv) == 1
+    assert rounds == [1_000_000, 4_000_000, 16_000_000, 64_000_000]
+
+
 @pytest.mark.parametrize("mode", ["table", "mc"])
 @pytest.mark.parametrize(
     "command",

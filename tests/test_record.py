@@ -19,7 +19,8 @@ from deformq.operators import MultiDiffOp
 from deformq.polyalg import FormalSeries, Polynomial, PolyVector
 from deformq.record import Frozen
 from deformq.starprod import StarSeries
-from deformq.weights import WeightEntry, WeightEstimate
+from deformq.table import WeightEntry
+from deformq.weights import WeightEstimate
 
 P = Polynomial
 F = Fraction

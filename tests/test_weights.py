@@ -17,10 +17,10 @@ from deformq.graphs import (
     parse_id,
 )
 from deformq.starprod import star_graphs
+from deformq.table import WeightEntry
 from deformq.weights import (
     CHUNK,
     TWO_PI,
-    WeightEntry,
     WeightEstimate,
     WeightTable,
     _cayley_density,
@@ -873,6 +873,15 @@ def test_weight_mc_keeps_its_sample_stream():
     for gid, mean in STREAM_PINS.items():
         est = _sample_weight(parse_id(gid), 100_000, 11)
         assert abs(est.mean - mean) <= 1e-9 * abs(mean), gid
+
+
+def test_weight_mc_keeps_its_order_three_sample_stream():
+    # an order-3 cocycle class that only Monte Carlo fixes so far: a change
+    # to a helper the bit-identity references share shows here
+    g = parse_id("3;2;[2,3],[3,b1],[2,b2]")
+    assert weight_rule(g) is None and orbit(g, mirror=True) == (g, 1)
+    mean = -0.021636599767452698
+    assert abs(_sample_weight(g, 100_000, 11).mean - mean) <= 1e-9 * abs(mean)
 
 
 # ---------------------------------------------------------------------------
