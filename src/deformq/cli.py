@@ -173,7 +173,11 @@ def _weight_table(args, cache: Path, graphs: dict) -> WeightTable:
             max_samples=args.samples if mc else MAX_SAMPLES,
         )
         if not mc and table.entries != before:
-            table.save(cache)
+            try:
+                table.save(cache)
+            except OSError as exc:
+                # the save is atomic: the file is left as it was
+                raise UsageError(f"cannot write weight cache {cache}: {exc}") from exc
     return table
 
 

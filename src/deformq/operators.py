@@ -36,8 +36,6 @@ TermKey = tuple[DerivIndex, ...]
 class MultiDiffOp(Frozen):
     __slots__ = ("dim", "arity", "terms")
 
-    _defaults = {"terms": {}}
-
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
@@ -107,16 +105,6 @@ class MultiDiffOp(Frozen):
     def degree(self) -> int:
         """Gerstenhaber degree: arity - 1."""
         return self.arity - 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiDiffOp)
-            and (self.dim, self.arity) == (other.dim, other.arity)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.arity, frozenset(self.terms.items())))
 
     def max_order_per_slot(self) -> int:
         return max(

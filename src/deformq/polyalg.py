@@ -64,8 +64,6 @@ class Polynomial(Frozen):
 
     __slots__ = ("dim", "terms")
 
-    _defaults = {"terms": {}}
-
     def __post_init__(self):
         clean = {}
         for key, coeff in self.terms.items():
@@ -171,16 +169,6 @@ class Polynomial(Frozen):
 
     def __str__(self) -> str:
         return format_polynomial(self)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -353,8 +341,6 @@ class PolyVector(Frozen):
 
     __slots__ = ("dim", "degree", "components")
 
-    _defaults = {"components": {}}
-
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
@@ -445,16 +431,6 @@ class PolyVector(Frozen):
     @property
     def is_zero(self) -> bool:
         return not self.components
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyVector)
-            and (self.dim, self.degree) == (other.dim, other.degree)
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.components.items())))
 
 
 # ---------------------------------------------------------------------------

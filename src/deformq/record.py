@@ -1,13 +1,13 @@
 """Value classes without `dataclasses`.
 
 A value class derives from `Frozen` and names its fields, in constructor
-order, as `__slots__`; the class mapping `_defaults` may give a trailing
-field a default.  `Frozen` gives every value class the constructor, equality,
-hash and repr a frozen dataclass would generate and forbids assignment and
-deletion, so its constructor sets the fields with `object.__setattr__` and
-then calls `__post_init__`, which a validating class overrides.  A `{}`
-default is shared safely only where `__post_init__` replaces it with a new
-dict.
+order, as `__slots__`; every field is required.  `Frozen` gives every value
+class the constructor, equality, hash and repr a frozen dataclass would
+generate and forbids assignment and deletion, so its constructor sets the
+fields with `object.__setattr__` and then calls `__post_init__`, which a
+validating class overrides.  A dict-valued field is hashed by its items, so
+a value holding a term dict (`Polynomial`, `PolyVector`, `MultiDiffOp`) is
+hashable and equal values hash equal whatever order their dicts were filled in.
 
 Importing `dataclasses` loads `inspect`, `ast` and `tokenize`, and each
 decorated class execs generated methods; that cost lands on every CLI process.
@@ -16,10 +16,9 @@ decorated class execs generated methods; that cost lands on every CLI process.
 
 class Frozen:
     """Immutable value: equal to an instance of the same class with equal
-    fields, hashed by its field tuple."""
+    fields, hashed by its field tuple with each dict as its item set."""
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
         # the common call passes every field by position and binds nothing
@@ -30,7 +29,8 @@ class Frozen:
         self.__post_init__()
 
     def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The field values, in slot order, of a call with keywords or defaults."""
+        """The field values, in slot order, of a call that does not pass every
+        field by position."""
         slots, cls = self.__slots__, type(self).__qualname__
         if len(args) > len(slots):
             raise TypeError(f"{cls}() takes at most {len(slots)} positional arguments")
@@ -41,10 +41,10 @@ class Frozen:
             if name in values:
                 raise TypeError(f"{cls}() got multiple values for argument {name!r}")
             values[name] = value
-        missing = [n for n in slots if n not in values and n not in self._defaults]
+        missing = [n for n in slots if n not in values]
         if missing:
             raise TypeError(f"{cls}() missing required arguments: {', '.join(missing)}")
-        return [values.get(name, self._defaults.get(name)) for name in slots]
+        return [values[name] for name in slots]
 
     def __post_init__(self):
         """Validate or normalise the fields; the default does nothing."""
@@ -58,7 +58,10 @@ class Frozen:
         return self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(tuple(
+            frozenset(value.items()) if isinstance(value, dict) else value
+            for value in self._fields()
+        ))
 
     def __repr__(self) -> str:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -79,7 +79,8 @@ def hochschild_report(seed: int) -> dict:
 def wick_report(order: int, seed: int) -> dict:
     """`check wick`: the closed-form Moyal product against its Wick-pairing
     oracle at `order`, on constant bivectors and polynomials drawn from
-    random.Random(seed)."""
+    random.Random(seed).  Both series vanish above the lower degree of f and
+    g, so they are compared up to it: the cost does not grow with `order`."""
     rng = random.Random(seed)
     failures = 0
     trials = 20
@@ -106,7 +107,8 @@ def wick_report(order: int, seed: int) -> dict:
                 )
             },
         )
-        if moyal(pi, f, g, order).coeffs != moyal_via_wick(pi, f, g, order).coeffs:
+        top = min(order, f.total_degree(), g.total_degree())
+        if moyal(pi, f, g, top).coeffs != moyal_via_wick(pi, f, g, top).coeffs:
             failures += 1
     return {
         "check": "wick",

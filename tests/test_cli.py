@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -785,6 +786,16 @@ def test_check_wick_above_order_three(capsys):
     assert out["order"] == 6
 
 
+def test_check_wick_cost_does_not_grow_with_order(capsys):
+    # both series vanish above the arguments' lower degree (at most 3 here),
+    # so a billion orders cost what three do
+    small = run(capsys, ["check", "wick", "--order", "3"])[1]
+    start = time.perf_counter()
+    code, big = run(capsys, ["check", "wick", "--order", "1000000000"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and big == {**small, "order": 1_000_000_000}
+
+
 def test_check_hochschild(capsys):
     code, out = run(capsys, ["check", "hochschild"])
     assert code == 0 and out["pass"] is True
@@ -1023,6 +1034,41 @@ def test_cache_in_missing_directory_is_usage_error_before_monte_carlo(
     assert code == 2
     assert "does not exist" in capsys.readouterr().err
     assert not cache.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [PermissionError(errno.EACCES, "Permission denied"),
+     OSError(errno.ENOSPC, "No space left on device")],
+    ids=["permission", "no-space"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["star", "--f", "x1", "--g", "x2"], ["weight", "--graph", "1;2;[b1,b1]"]],
+    ids=["star", "weight"],
+)
+def test_a_cache_that_cannot_be_written_is_a_usage_error(
+    monkeypatch, capsys, tmp_path, so3_file, command, error
+):
+    # the rule-fixed weight the copy lacks is filled, so the cache is saved
+    entries = json.loads((Path(__file__).parent / ".weight_cache.json").read_text())
+    del entries["1;2;[b1,b1]"]
+    cache = tmp_path / "partial.json"
+    cache.write_text(json.dumps(entries, indent=1) + "\n")
+    before = cache.read_bytes()
+
+    def refuse(src, dst):
+        raise error
+
+    monkeypatch.setattr(os, "replace", refuse)
+    pi = [] if command[0] == "weight" else ["--pi", so3_file]
+    code = main(command + pi + ["--cache", str(cache)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write weight cache {cache}: {error}\n"
+    assert cache.read_bytes() == before
+    # and the temporary file the save wrote is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["partial.json", "so3.json"]
 
 
 def test_star_warns_on_non_poisson(capsys, tmp_path, weight_cache_path, monkeypatch):

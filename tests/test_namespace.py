@@ -36,13 +36,3 @@ def test_importing_the_package_defines_no_public_name():
         "print(sorted(n for n in vars(deformq) if not n.startswith('_')))\n"
     )
     assert out == "[]\n"
-
-
-def test_unknown_name_is_an_import_error():
-    out = _python(
-        "try:\n"
-        "    from deformq import no_such_name\n"
-        "except ImportError as exc:\n"
-        "    print(type(exc).__name__)\n"
-    )
-    assert out == "ImportError\n"

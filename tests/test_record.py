@@ -1,7 +1,8 @@
-"""The package's value classes keep the construction, equality and repr
-their former dataclass definitions had, and all of them are frozen: hashed
-by their fields and refusing assignment; each repr below is the text the
-dataclass generated."""
+"""The package's value classes keep the equality and repr their former
+dataclass definitions had, and all of them are frozen: hashed by their fields
+(a dict field by its items) and refusing assignment; each repr below is the
+text the dataclass generated.  Every field is required, so a call that
+leaves one out is refused."""
 
 import copy
 import importlib
@@ -33,17 +34,17 @@ CASES = [
     (AdmissibleGraph, (1, 2, ([-1, -2],)), dict(n=1, nbar=2, stars=((-1, -2),)),
      (1, 2, ((-2, -1),)),
      "AdmissibleGraph(n=1, nbar=2, stars=((-1, -2),))"),
-    (Polynomial, (2,), dict(dim=2, terms={}), (2, {(1, 0): 3}),
+    (Polynomial, (2, {}), dict(dim=2, terms={}), (2, {(1, 0): 3}),
      "Polynomial(dim=2, terms={})"),
-    (FormalSeries, (1, [P(1), P(1, {(1,): 1})]),
-     dict(order=1, coeffs=(P(1), P(1, {(1,): F(1)}))), (0, [P(1)]),
+    (FormalSeries, (1, [P(1, {}), P(1, {(1,): 1})]),
+     dict(order=1, coeffs=(P(1, {}), P(1, {(1,): F(1)}))), (0, [P(1, {})]),
      "FormalSeries(order=1, coeffs=(Polynomial(dim=1, terms={}), "
      "Polynomial(dim=1, terms={(1,): Fraction(1, 1)})))"),
     (PolyVector, (2, 1, {(1,): P(2, {(0, 1): 1})}),
-     dict(dim=2, degree=1, components={(1,): P(2, {(0, 1): 1})}), (2, 1),
+     dict(dim=2, degree=1, components={(1,): P(2, {(0, 1): 1})}), (2, 1, {}),
      "PolyVector(dim=2, degree=1, components={(1,): "
      "Polynomial(dim=2, terms={(0, 1): Fraction(1, 1)})})"),
-    (MultiDiffOp, (1, 2), dict(dim=1, arity=2, terms={}),
+    (MultiDiffOp, (1, 2, {}), dict(dim=1, arity=2, terms={}),
      (1, 1, {((1,),): P(1, {(0,): 1})}),
      "MultiDiffOp(dim=1, arity=2, terms={})"),
     (StarSeries, (0, (MUL1,)), dict(order=0, ops=(MUL1,)),
@@ -117,6 +118,41 @@ def test_constructor_refuses_a_call_that_does_not_bind_every_field_once(cls, kwa
         cls(**kwargs, unknown=1)
     with pytest.raises(TypeError, match="multiple"):
         cls(full[0], **kwargs)
+
+
+@pytest.mark.parametrize(
+    "cls, args, field",
+    [(Polynomial, (2,), "terms"), (PolyVector, (2, 1), "components"),
+     (MultiDiffOp, (1, 2), "terms")],
+    ids=["Polynomial", "PolyVector", "MultiDiffOp"],
+)
+def test_a_dict_field_has_no_default(cls, args, field):
+    # an empty value is built by its class's `zero`
+    with pytest.raises(TypeError, match=f"missing required arguments: {field}$"):
+        cls(*args)
+
+
+X, Y = P(2, {(1, 0): 1}), P(2, {(0, 1): 1})
+# each pair: the same dict field filled in opposite insertion orders
+FILL_ORDERS = [
+    (P(2, {(1, 0): 3, (0, 1): F(1, 2)}), P(2, {(0, 1): F(1, 2), (1, 0): 3})),
+    (PolyVector(2, 1, {(1,): X, (2,): Y}), PolyVector(2, 1, {(2,): Y, (1,): X})),
+    (MultiDiffOp(2, 1, {((1, 0),): X, ((0, 1),): Y}),
+     MultiDiffOp(2, 1, {((0, 1),): Y, ((1, 0),): X})),
+]
+
+
+@pytest.mark.parametrize(
+    "a, b", FILL_ORDERS, ids=["Polynomial", "PolyVector", "MultiDiffOp"]
+)
+def test_a_dict_field_is_compared_and_hashed_by_its_items(a, b):
+    field = a.__slots__[-1]
+    assert list(getattr(a, field)) != list(getattr(b, field))
+    assert a == b and hash(a) == hash(b)
+    # the field tuple with the dict as its item set
+    fields = [getattr(a, name) for name in a.__slots__]
+    assert hash(a) == hash((*fields[:-1], frozenset(fields[-1].items())))
+    assert len({a, b}) == 1
 
 
 def test_every_value_class_has_a_contract_case():
