@@ -9,7 +9,8 @@ the options it reads (argparse refuses any other, exit 2), each default set
 once in an `_add_*` helper.  `weight`, `star` and `check assoc` (alias `assoc`)
 check the weight options (`_weight_cache`) and get their weights from
 `_weight_table`, which in table mode reads a snapped weight, never re-samples
-it; every command that reads `--order` checks its range (`_order`).  A warm
+it; every command that reads `--order` refuses a negative one (`_order`).
+`star` and `check assoc` fill only the graphs they read (`_star_table`).  A warm
 `star` or `check assoc` (every weight it needs snapped in the cache) imports
 only the modules whose code it runs.  The Monte-Carlo estimation
 (`weights`), the closed forms (`closedform`) and the randomised suites
@@ -36,13 +37,16 @@ from deformq.polyalg import (
     parse_polynomial,
 )
 from deformq.starprod import (
+    MAX_ORDER,
+    Classes,
+    MissingWeightError,
     associator_bound,
     band_weights,
     class_rows,
     contains_zero,
     kontsevich_star,
     point_weights,
-    star_graphs,
+    star_classes,
 )
 from deformq.table import MAX_SAMPLES, WeightTable
 
@@ -54,6 +58,8 @@ MAX_GRAPHS = 1_000_000
 # scans its 2 n! relabellings, and those of its representative when that
 # differs (about 2 s per scan at n = 8)
 MAX_AERIAL = 7
+# `star` and `check assoc` sample no weight of a graph above this order
+MAX_SAMPLED_ORDER = 2
 
 
 class UsageError(Exception):
@@ -64,16 +70,10 @@ class CheckFailure(Exception):
     pass
 
 
-def _order(args, top: int | None = None) -> int:
-    """--order, refused when negative or, for a command that reads graph
-    weights, above the `top` order they are derived for."""
+def _order(args) -> int:
+    """--order, refused when negative."""
     if args.order < 0:
         raise UsageError("--order must be nonnegative")
-    if top is not None and args.order > top:
-        # order 3 would mean Monte Carlo on ~1700 graphs
-        raise UsageError(
-            f"--order {args.order} needs order-{args.order} graph weights, not derived"
-        )
     return args.order
 
 
@@ -132,13 +132,20 @@ def save_poisson(pi: PolyVector, path: str | Path):
     Path(path).write_text(json.dumps(data, indent=1) + "\n")
 
 
-def _load_table(cache: Path) -> WeightTable:
+# what WeightTable.load raises for a cache file it cannot read as a table
+_UNREADABLE = (
+    OSError, ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError
+)
+
+
+def _load_table(args, cache: Path) -> WeightTable:
+    """The cache's table; an empty one in mc mode, which reads no file."""
+    if args.weights == "mc":
+        return WeightTable()
     if cache.exists():
         try:
             return WeightTable.load(cache)
-        except (
-            OSError, ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError
-        ) as exc:
+        except _UNREADABLE as exc:
             raise UsageError(f"cannot read weight cache {cache}: {exc}") from exc
     if not cache.parent.is_dir():
         # refused now: the save after the estimates would fail
@@ -146,19 +153,13 @@ def _load_table(cache: Path) -> WeightTable:
     return WeightTable()
 
 
-def _star_graphs(order: int) -> dict:
-    """Every graph the weight table must cover up to `order`, by id."""
-    return {canonical_id(g): g for g in star_graphs(order)}
-
-
-def _weight_table(args, cache: Path, graphs: dict) -> WeightTable:
-    """The weight table for `graphs` (id -> graph) at the weight options: mc
-    mode estimates each graph afresh at exactly --samples and reads and
-    writes no file; table mode loads the cache, fills the graphs without a
-    snapped entry (build_weight_table: one already run to MAX_SAMPLES is
-    snapped again, any other estimated up to it) and saves it if one changed."""
+def _weight_table(args, cache: Path, table: WeightTable, graphs: dict) -> WeightTable:
+    """`table` (_load_table) with `graphs` (id -> graph) filled at the weight
+    options: mc mode estimates each graph afresh at exactly --samples and
+    writes no file; table mode fills the graphs without a snapped entry
+    (build_weight_table: one already run to MAX_SAMPLES is snapped again,
+    any other estimated up to it) and saves the cache if one changed."""
     mc = args.weights == "mc"
-    table = WeightTable() if mc else _load_table(cache)
     # a warm cache needs no estimate, nor the module that makes them
     if any(table.exact(gid) is None for gid in graphs):
         from deformq.weights import build_weight_table
@@ -175,23 +176,43 @@ def _weight_table(args, cache: Path, graphs: dict) -> WeightTable:
         if not mc and table.entries != before:
             try:
                 table.save(cache)
-            except OSError as exc:
-                # the save is atomic: the file is left as it was
+            except _UNREADABLE as exc:
+                # the save reads the file, then replaces it atomically
                 raise UsageError(f"cannot write weight cache {cache}: {exc}") from exc
     return table
 
 
-def _snapped_table(args, cache: Path, order: int) -> WeightTable:
-    """_weight_table for every graph up to `order`, where a graph that fails
-    to snap is a check failure."""
-    graphs = _star_graphs(order)
-    table = _weight_table(args, cache, graphs)
+def _star_table(args, cache: Path, pi: PolyVector) -> tuple[Classes, WeightTable]:
+    """star_classes(pi, --order) and _weight_table for their members, the
+    only graphs a star or check assoc request reads.  Refused: an order above
+    MAX_ORDER before any enumeration, and a member above MAX_SAMPLED_ORDER
+    with no snapped entry and no rule before any fill.  In table mode a
+    member that fails to snap is a check failure."""
+    if args.order > MAX_ORDER:
+        raise UsageError(
+            f"--order {args.order} is above {MAX_ORDER}, the highest star order"
+        )
+    classes = star_classes(pi, args.order)
+    graphs = {canonical_id(g): g for row in classes for _, gs in row for g, _ in gs}
+    table = _load_table(args, cache)
+    if args.order > MAX_SAMPLED_ORDER:
+        from deformq.weights import weight_rule
+
+        missing = [
+            g for gid, g in graphs.items()
+            if g.n > MAX_SAMPLED_ORDER
+            and table.exact(gid) is None
+            and weight_rule(g) is None
+        ]
+        if missing:
+            raise MissingWeightError(missing)
+    table = _weight_table(args, cache, table, graphs)
     unsnapped = [gid for gid in graphs if table.exact(gid) is None]
-    if unsnapped:
+    if unsnapped and args.weights == "table":
         raise CheckFailure(
             f"weights failed to snap uniquely: {', '.join(sorted(unsnapped))}"
         )
-    return table
+    return classes, table
 
 
 def _print_not_poisson() -> None:
@@ -259,13 +280,13 @@ def cmd_weight(args) -> int:
     if g.n > MAX_AERIAL:
         raise UsageError(f"--graph has {g.n} aerial vertices, more than {MAX_AERIAL}")
     gid = canonical_id(g)
-    entry = _weight_table(args, cache, {gid: g}).get(gid)
+    entry = _weight_table(args, cache, _load_table(args, cache), {gid: g}).get(gid)
     _emit({**entry.to_json(), "graph": gid})
     return 0
 
 
 def cmd_star(args) -> int:
-    order = _order(args, top=2)
+    order = _order(args)
     cache = _weight_cache(args)
     pi = load_poisson(args.pi)
     try:
@@ -273,11 +294,11 @@ def cmd_star(args) -> int:
         g = parse_polynomial(args.g, pi.dim)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    table = _snapped_table(args, cache, order)
+    classes, table = _star_table(args, cache, pi)
     # its one warning (pi is not Poisson) becomes the CLI's one-line warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = kontsevich_star(pi, f, g, order, table)
+        out = kontsevich_star(pi, f, g, order, table, classes)
     if caught:
         _print_not_poisson()
     _emit(_series_json(out))
@@ -310,9 +331,10 @@ def _check_jacobi(args) -> dict:
 
 
 def _check_assoc(args) -> dict:
-    order = _order(args, top=2)
+    order = _order(args)
     cache = _weight_cache(args)
     pi = load_poisson(args.pi)
+    classes, table = _star_table(args, cache, pi)
     _warn_if_not_poisson(pi)
     xs = [Polynomial.var(pi.dim, i) for i in range(1, pi.dim + 1)]
     triples = list(itertools.product(xs, repeat=3))
@@ -323,14 +345,12 @@ def _check_assoc(args) -> dict:
         "triples": len(triples),
     }
     if args.weights == "table":
-        weight = point_weights(_snapped_table(args, cache, order))
+        weight = point_weights(table)
     else:
         # raw estimates, one per orbit, each within its 3-sigma band
-        weight = band_weights(_weight_table(args, cache, _star_graphs(order)))
+        weight = band_weights(table)
         report["samples"] = args.samples
-    bound = associator_bound(
-        [class_rows(pi, n, weight) for n in range(order + 1)]
-    )
+    bound = associator_bound(class_rows(pi.dim, classes, weight))
     # apply_op on coordinates is a nonnegative linear map of the coefficients,
     # so a triple whose applied bound excludes 0 has a nonzero defect
     report["failures"] = sum(
@@ -450,7 +470,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, MissingWeightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

@@ -45,8 +45,18 @@ from deformq.record import Frozen
 from deformq.table import WeightTable
 
 
-class MissingWeightError(KeyError):
-    """A contributing graph has no snapped weight in the table."""
+# the highest order a star series is assembled at: order 4 alone would
+# enumerate 390 625 labelled graphs
+MAX_ORDER = 3
+
+
+class MissingWeightError(LookupError):
+    """Graphs that a star series reads have no snapped weight: the message
+    names each of them, in enumeration order."""
+
+    def __init__(self, graphs):
+        ids = ", ".join(canonical_id(g) for g in sorted(graphs, key=_order_key))
+        super().__init__(f"no snapped weight for graphs: {ids}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +251,17 @@ def graph_operators(
     return out
 
 
+Classes = list[list[tuple[MultiDiffOp, list[tuple[AdmissibleGraph, int]]]]]
+
+
+def star_classes(pi: PolyVector, order: int) -> Classes:
+    """_class_operators(pi, n) for n = 1..order: every graph the series of
+    pi up to `order` reads a weight for is a member of one of these classes."""
+    if order > MAX_ORDER:
+        raise ValueError(f"orders above {MAX_ORDER} are outside the weight table scope")
+    return [_class_operators(pi, n) for n in range(1, order + 1)]
+
+
 def point_weights(table: WeightTable) -> Callable[[str], Interval | None]:
     """Each graph's snapped weight as a point; None where it has none."""
 
@@ -266,66 +287,62 @@ def band_weights(table: WeightTable) -> Callable[[str], Interval | None]:
 
 
 def class_rows(
-    pi: PolyVector, n: int, weight: Callable[[str], Interval | None]
-) -> list[tuple[Interval, MultiDiffOp]]:
-    """The h^n star coefficient as rows (W_c, B_c / n!), one per class c of
-    _class_operators(pi, n); a class whose W_c is the point 0 is left out.
+    dim: int, classes: Classes, weight: Callable[[str], Interval | None]
+) -> list[list[tuple[Interval, MultiDiffOp]]]:
+    """The star coefficients of orders 0..len(classes) as rows (W_c, B_c / n!),
+    one per class c of classes[n - 1] (star_classes); a class whose W_c is
+    the point 0 is left out.  Order 0 is the multiplication with weight 1.
 
     B_c is the representative's operator and W_c = sum_{g in c} sign_g *
     weight(id of g) reads every member's own entry, so an inconsistent table
     is assembled as it stands.  Members without a weight raise
-    MissingWeightError naming each of them.  Order 0 is the multiplication
-    with weight 1.
+    MissingWeightError naming each of them.
     """
-    if n == 0:
-        return [(_UNIT, MultiDiffOp.multiplication(pi.dim))]
-    scale = Fraction(1, factorial(n))
-    rows = []
+    out = [[(_UNIT, MultiDiffOp.multiplication(dim))]]
     missing = []
-    for op, members in _class_operators(pi, n):
-        centre = radius = 0
-        for g, sign in members:
-            w = weight(canonical_id(g))
-            if w is None:
-                missing.append(g)
-                continue
-            centre += sign * w[0]
-            radius += w[1]
-        if centre or radius:
-            rows.append(((centre, radius), op.scale(scale)))
+    for n, order_classes in enumerate(classes, 1):
+        scale = Fraction(1, factorial(n))
+        rows = []
+        for op, members in order_classes:
+            centre = radius = 0
+            for g, sign in members:
+                w = weight(canonical_id(g))
+                if w is None:
+                    missing.append(g)
+                    continue
+                centre += sign * w[0]
+                radius += w[1]
+            if centre or radius:
+                rows.append(((centre, radius), op.scale(scale)))
+        out.append(rows)
     if missing:
-        missing.sort(key=_order_key)
-        raise MissingWeightError(
-            f"no snapped weight for graphs: {', '.join(map(canonical_id, missing))}"
-        )
-    return rows
+        raise MissingWeightError(missing)
+    return out
 
 
 def kontsevich_star_series(
-    pi: PolyVector, order: int, table: WeightTable
+    pi: PolyVector, order: int, table: WeightTable, classes: Classes | None = None
 ) -> StarSeries:
     """Exact star series from snapped weights: the h^n operator is
     (1/n!) sum_Gamma w_Gamma B_Gamma over the 2n-edge graphs of order n,
-    summed over the class_rows of each order.
+    summed over the class_rows of star_classes(pi, order), or of `classes`
+    when a caller that reads their members has built them already.
 
     Graphs whose operator vanishes identically (parallel edges) never need a
     weight.  A contributing graph without a snapped weight raises
     MissingWeightError.
     """
-    if order > 3:
-        raise ValueError("orders above 3 are outside the weight table scope")
+    if classes is None:
+        classes = star_classes(pi, order)
     if not jacobiator(pi).is_zero:
         warnings.warn(
             "bivector is not Poisson: [pi,pi] != 0; the series will not be "
             "associative",
             stacklevel=2,
         )
-    weight = point_weights(table)
     ops = [
-        linear_combination(
-            ((c, op) for (c, _), op in class_rows(pi, n, weight)), pi.dim, 2
-        )
-        for n in range(order + 1)
+        linear_combination(((c, op) for (c, _), op in rows), pi.dim, 2)
+        for rows in class_rows(pi.dim, classes, point_weights(table))
     ]
     return StarSeries(order, tuple(ops))
 
@@ -336,17 +353,10 @@ def kontsevich_star(
     g: Polynomial,
     order: int,
     table: WeightTable,
+    classes: Classes | None = None,
 ) -> FormalSeries:
-    series = kontsevich_star_series(pi, order, table)
+    series = kontsevich_star_series(pi, order, table, classes)
     return star_apply(series, lift(f, order), lift(g, order))
-
-
-def star_graphs(order: int) -> list[AdmissibleGraph]:
-    """All graphs the weight table must cover up to the given order."""
-    out = []
-    for n in range(1, order + 1):
-        out.extend(enumerate_graphs(n, 2, 2))
-    return out
 
 
 # ---------------------------------------------------------------------------

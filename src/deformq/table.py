@@ -94,10 +94,17 @@ class WeightTable:
         )
 
     def save(self, path: str | Path):
-        """Write the table to path atomically: a concurrent reader sees the
-        old file or the new one, never a part of one."""
+        """Write the table, and the entries of the file at path that it
+        lacks, to path atomically: processes that fill different graphs of
+        one file keep both, unless they save at once, and a concurrent
+        reader sees the old file or the new one, never a part of one.  A
+        file there that load cannot read raises, and is left as it was."""
         path = Path(path)
-        text = json.dumps(self.to_json(), indent=1) + "\n"
+        try:
+            entries = {**WeightTable.load(path).entries, **self.entries}
+        except FileNotFoundError:
+            entries = self.entries
+        text = json.dumps(WeightTable(entries).to_json(), indent=1) + "\n"
         # a name no other live process writes, beside path, so that the
         # replace is a rename within one file system
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

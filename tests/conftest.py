@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from deformq.starprod import star_graphs
+from deformq.graphs import enumerate_graphs
 from deformq.weights import WeightTable, build_weight_table
 
 CACHE = Path(__file__).parent / ".weight_cache.json"
@@ -18,7 +18,8 @@ def weight_table():
         table = WeightTable.load(CACHE)
         if all(e.snapped is not None for e in table.entries.values()):
             return table
-    table = build_weight_table(star_graphs(2), seed=TABLE_SEED)
+    graphs = [g for n in (1, 2) for g in enumerate_graphs(n, 2, 2)]
+    table = build_weight_table(graphs, seed=TABLE_SEED)
     unsnapped = [gid for gid, e in table.entries.items() if e.snapped is None]
     if unsnapped:
         raise RuntimeError(f"weights failed to snap uniquely: {unsnapped}")

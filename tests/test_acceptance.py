@@ -59,6 +59,7 @@ from deformq.starprod import (
     first_order_antisym,
     kontsevich_star,
     kontsevich_star_series,
+    star_classes,
 )
 from deformq.weights import WeightEstimate, WeightTable, _sample_weight
 
@@ -229,7 +230,7 @@ def test_criterion_6_order_two_associativity(weight_table):
             None if e.stderr > 0 else e.snapped,
         )
     bound = associator_bound(
-        [class_rows(pi, n, band_weights(raw)) for n in range(3)]
+        class_rows(pi.dim, star_classes(pi, 2), band_weights(raw))
     )
     for fgh in [(xs[0], xs[1], xs[2]), (xs[1], xs[1], xs[2]), (xs[2], xs[0], xs[2])]:
         for center, radius in bound:

@@ -6,13 +6,14 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from deformq import cli, closedform, starprod, weights
+from deformq import cli, closedform, graphs, starprod, weights
 from deformq.cli import load_poisson, main, save_poisson
-from deformq.graphs import orbit
+from deformq.graphs import canonical_id, orbit, parse_id
 from deformq.polyalg import Polynomial, PolyVector, parse_polynomial
 
 
@@ -35,6 +36,10 @@ def so3_file(tmp_path):
 @pytest.fixture
 def cache_arg(weight_cache_path):
     return ["--cache", weight_cache_path]
+
+
+# a weight fixed by a rule (no edge reaches b2) that so(3) reads at order 2
+READ_RULE_FIXED = "2;2;[2,b1],[1,b1]"
 
 
 def run(capsys, argv):
@@ -538,12 +543,31 @@ def test_star_rejects_a_trailing_sign(capsys, so3_file, cache_arg, f):
     assert "dangling sign" in captured.err
 
 
-def test_star_order_guard(capsys, so3_file, cache_arg):
+@pytest.mark.parametrize("order", ["4", "40"])
+@pytest.mark.parametrize("mode", ["table", "mc"])
+@pytest.mark.parametrize(
+    "command",
+    [["star", "--f", "x1", "--g", "x2"], ["check", "assoc"]],
+    ids=["star", "check-assoc"],
+)
+def test_orders_above_three_refused_before_any_enumeration(
+    monkeypatch, capsys, tmp_path, so3_file, command, mode, order
+):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("an order above 3 must be refused before enumerating")
+
+    for module in (graphs, starprod, cli):
+        monkeypatch.setattr(module, "enumerate_graphs", no_enumeration)
+    cache = tmp_path / "w.json"
     code = main(
-        ["star", "--pi", so3_file, "--f", "x1", "--g", "x2", "--order", "4"]
-        + cache_arg
+        command
+        + ["--pi", so3_file, "--order", order, "--weights", mode,
+           "--samples", "10000", "--cache", str(cache)]
     )
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: --order {order} is above 3, the highest star order\n"
+    assert not cache.exists()
 
 
 def test_star_ignores_unsnapped_graphs_it_does_not_use(
@@ -652,7 +676,7 @@ def test_an_entry_below_the_cap_is_still_escalated(
     ids=["star", "check-assoc", "assoc"],
 )
 def test_order_three_refused_before_any_work(
-    monkeypatch, tmp_path, so3_file, command, mode
+    monkeypatch, capsys, tmp_path, so3_file, command, mode
 ):
     def no_work(*args, **kwargs):
         raise AssertionError("order 3 must be refused before any work")
@@ -667,8 +691,18 @@ def test_order_three_refused_before_any_work(
         + ["--pi", so3_file, "--order", "3", "--weights", mode,
            "--samples", "10000", "--cache", str(cache)]
     )
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
     assert not cache.exists()
+    # so(3) reads 392 order-3 graphs in 10 classes; no rule fixes 344 of
+    # them, in 5 classes under the mirror, and none is ever sampled
+    prefix = "error: no snapped weight for graphs: "
+    assert err.startswith(prefix) and err.endswith("\n")
+    named = [parse_id(gid) for gid in err[len(prefix):-1].split(", ")]
+    assert len(named) == 344
+    assert named == sorted(named, key=graphs._order_key)
+    assert all(g.n == 3 and weights.weight_rule(g) is None for g in named)
+    assert len({orbit(g, mirror=True)[0] for g in named}) == 5
 
 
 def test_mc_samples_guard(so3_file):
@@ -1044,7 +1078,7 @@ def test_cache_in_missing_directory_is_usage_error_before_monte_carlo(
 )
 @pytest.mark.parametrize(
     "command",
-    [["star", "--f", "x1", "--g", "x2"], ["weight", "--graph", "1;2;[b1,b1]"]],
+    [["star", "--f", "x1", "--g", "x2"], ["weight", "--graph", READ_RULE_FIXED]],
     ids=["star", "weight"],
 )
 def test_a_cache_that_cannot_be_written_is_a_usage_error(
@@ -1052,7 +1086,7 @@ def test_a_cache_that_cannot_be_written_is_a_usage_error(
 ):
     # the rule-fixed weight the copy lacks is filled, so the cache is saved
     entries = json.loads((Path(__file__).parent / ".weight_cache.json").read_text())
-    del entries["1;2;[b1,b1]"]
+    del entries[READ_RULE_FIXED]
     cache = tmp_path / "partial.json"
     cache.write_text(json.dumps(entries, indent=1) + "\n")
     before = cache.read_bytes()
@@ -1068,6 +1102,30 @@ def test_a_cache_that_cannot_be_written_is_a_usage_error(
     assert err == f"error: cannot write weight cache {cache}: {error}\n"
     assert cache.read_bytes() == before
     # and the temporary file the save wrote is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["partial.json", "so3.json"]
+
+
+def test_a_cache_unreadable_at_save_time_is_a_usage_error(
+    monkeypatch, capsys, tmp_path, so3_file
+):
+    # the save keeps the file's other entries, so it reads the file first
+    entries = json.loads((Path(__file__).parent / ".weight_cache.json").read_text())
+    del entries[READ_RULE_FIXED]
+    cache = tmp_path / "partial.json"
+    cache.write_text(json.dumps(entries))
+    real = weights.build_weight_table
+
+    def another_process_writes(*args, **kwargs):
+        table = real(*args, **kwargs)
+        cache.write_text("{")
+        return table
+
+    monkeypatch.setattr(weights, "build_weight_table", another_process_writes)
+    code = main(["star", "--pi", so3_file, "--f", "x1", "--g", "x2", "--cache", str(cache)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write weight cache {cache}: ")
+    assert cache.read_text() == "{"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["partial.json", "so3.json"]
 
 
@@ -1133,6 +1191,60 @@ def test_check_assoc_mc_mode_builds_operators_once_per_order(
     )
     assert code == 0 and out["pass"] is True and out["triples"] == 27
     assert calls == [1, 2]
+
+
+def test_star_builds_operators_once_per_order(capsys, so3_file, cache_arg, monkeypatch):
+    calls = []
+    real = starprod._class_operators
+
+    def counting(pi, n):
+        calls.append(n)
+        return real(pi, n)
+
+    monkeypatch.setattr(starprod, "_class_operators", counting)
+    code, out = run(capsys, ["star", "--pi", so3_file, "--f", "x1", "--g", "x2"] + cache_arg)
+    assert code == 0 and out["coeffs"][1] == "x3"
+    assert calls == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "components, written, estimated",
+    [
+        # so(3): 2 order-1 and 36 order-2 graphs, 10 of them fixed by a rule
+        ({"1,2": "x3", "1,3": "- x2", "2,3": "x1"}, 38,
+         ["2;2;[2,b1],[1,b2]", "2;2;[2,b1],[b1,b2]", "2;2;[b1,b2],[b1,b2]"]),
+        # a constant pi reads no graph with an edge between aerial vertices
+        ({"1,2": "1", "3,4": "2"}, 6, ["2;2;[b1,b2],[b1,b2]"]),
+    ],
+    ids=["so3", "constant-4d"],
+)
+def test_a_cold_star_fills_only_the_graphs_it_reads(
+    monkeypatch, capsys, tmp_path, cache_arg, components, written, estimated
+):
+    committed = json.loads((Path(__file__).parent / ".weight_cache.json").read_text())
+    sampled = []
+
+    def committed_estimate(g, samples, seed, boundary_points=(0.0, 1.0)):
+        # a band narrow enough to snap to the committed value
+        gid = canonical_id(g)
+        sampled.append(gid)
+        mean = float(Fraction(committed[gid]["snapped"]))
+        return weights.WeightEstimate(gid, mean, 1e-6, samples, seed)
+
+    dim = max(int(i) for key in components for i in key.split(","))
+    pi = tmp_path / "pi.json"
+    pi.write_text(json.dumps({"dim": dim, "components": components}))
+    argv = ["star", "--pi", str(pi), "--f", "x1 x2", "--g", "x2 + x1^2"]
+    code, warm = run(capsys, argv + cache_arg)
+    assert code == 0
+    monkeypatch.setattr(weights, "_sample_weight", committed_estimate)
+    cache = tmp_path / "cold.json"
+    code, cold = run(capsys, argv + ["--cache", str(cache)])
+    assert (code, cold) == (0, warm)
+    assert sorted(sampled) == estimated
+    filled = json.loads(cache.read_text())
+    assert len(filled) == written
+    assert all(e["snapped"] == committed[gid]["snapped"] for gid, e in filled.items())
 
 
 def test_check_assoc_mc_mode_estimates_once_per_orbit(
@@ -1215,9 +1327,10 @@ def test_warm_star_and_check_assoc_import_only_the_code_they_run(
 
 
 def test_star_estimates_a_weight_the_cache_lacks(tmp_path, so3_file, weight_cache_path):
-    # the rule-fixed order-1 weight: restoring it imports the weights module,
-    # which the full cache never needs, but neither numpy nor Monte Carlo
-    gid = "1;2;[b1,b1]"
+    # a rule-fixed weight so(3) reads: restoring it imports the weights
+    # module, which the full cache never needs, but neither numpy nor Monte
+    # Carlo
+    gid = READ_RULE_FIXED
     full = json.loads(Path(weight_cache_path).read_text())
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({k: v for k, v in full.items() if k != gid}))
@@ -1232,7 +1345,11 @@ def test_star_estimates_a_weight_the_cache_lacks(tmp_path, so3_file, weight_cach
     assert warm.returncode == cold.returncode == 0, cold.stderr
     assert cold.stdout == warm.stdout
     assert (warm.stderr, cold.stderr) == ("False False\n", "True False\n")
-    assert json.loads(partial.read_text()) == full
+    # the committed entry holds an estimate made before the rule existed;
+    # the restored one is the rule's exact weight, the same snapped value
+    restored = json.loads(partial.read_text())
+    assert restored.pop(gid) == {**full.pop(gid), "mean": 0.0, "stderr": 0.0}
+    assert restored == full
 
 
 def test_check_assoc_non_poisson_prints_one_warning_line(tmp_path, weight_cache_path):

@@ -23,9 +23,9 @@ from fractions import Fraction
 
 import pytest
 
-from deformq.graphs import canonical_id, orbit, parse_id
+from deformq.graphs import canonical_id, enumerate_graphs, orbit, parse_id
 from deformq.polyalg import Polynomial, PolyVector
-from deformq.starprod import kontsevich_star_series, lift, star_apply, star_graphs
+from deformq.starprod import kontsevich_star_series, lift, star_apply
 from deformq.table import WeightEntry, WeightTable
 
 # structure constants {(i, j): {k: c}}, 1-based, i < j: [e_i, e_j] = c e_k
@@ -175,7 +175,7 @@ def _doubled_class(table: WeightTable, gid: str) -> WeightTable:
     members share one operator in the star series."""
     rep = orbit(parse_id(gid))[0]
     entries = dict(table.entries)
-    for g in star_graphs(ORDER):
+    for g in enumerate_graphs(rep.n, 2, 2):
         if orbit(g)[0] == rep:
             e = entries[canonical_id(g)]
             entries[canonical_id(g)] = WeightEntry(

@@ -46,6 +46,7 @@ from deformq.starprod import (
     operator_associator,
     point_weights,
     star_apply,
+    star_classes,
 )
 from deformq.weights import WeightTable, WeightEstimate
 
@@ -347,7 +348,7 @@ def test_kontsevich_warns_on_non_poisson():
 
 
 def _bound(pi, order, weight):
-    return associator_bound([class_rows(pi, n, weight) for n in range(order + 1)])
+    return associator_bound(class_rows(pi.dim, star_classes(pi, order), weight))
 
 
 def _raw_table(weight_table):
@@ -413,7 +414,7 @@ def test_associator_bound_matches_pairwise_reference(weight_table):
     raw = _raw_table(weight_table)
     pi = so3_bivector()
     for weight, banded in ((band_weights(raw), True), (point_weights(weight_table), False)):
-        rows = [class_rows(pi, n, weight) for n in range(3)]
+        rows = class_rows(pi.dim, star_classes(pi, 2), weight)
         bound = associator_bound(rows)
         assert bound == _associator_bound_reference(rows)
         assert any(not radius.is_zero for _, radius in bound) == banded
@@ -425,8 +426,10 @@ def test_associator_bound_encloses_every_weight_choice(weight_table):
     # those intervals lies within C +- R
     pi = so3_bivector()
     rows = [
-        [((w, abs(w) if n else r), op) for (w, r), op in class_rows(pi, n, weights)]
-        for n, weights in enumerate([point_weights(weight_table)] * 3)
+        [((w, abs(w) if n else r), op) for (w, r), op in row]
+        for n, row in enumerate(
+            class_rows(pi.dim, star_classes(pi, 2), point_weights(weight_table))
+        )
     ]
     bound = associator_bound(rows)
     rng = random.Random(61)
@@ -501,7 +504,7 @@ def test_order_two_associator_is_minus_two_hkr_jacobiator(weight_table):
 
 def test_class_rows_name_every_missing_graph():
     with pytest.raises(MissingWeightError) as info:
-        class_rows(so3_bivector(), 1, point_weights(WeightTable()))
+        class_rows(3, star_classes(so3_bivector(), 1), point_weights(WeightTable()))
     assert "1;2;[b1,b2]" in str(info.value) and "1;2;[b2,b1]" in str(info.value)
 
 

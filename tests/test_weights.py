@@ -12,11 +12,11 @@ from deformq.graphs import (
     AdmissibleGraph,
     boundary,
     canonical_id,
+    enumerate_graphs,
     is_boundary,
     orbit,
     parse_id,
 )
-from deformq.starprod import star_graphs
 from deformq.table import WeightEntry
 from deformq.weights import (
     CHUNK,
@@ -386,6 +386,24 @@ def test_weight_table_save_that_fails_halfway_keeps_the_old_cache(
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
+def test_weight_table_save_keeps_the_entries_of_the_file_it_lacks(tmp_path):
+    # two processes load one cache, each fills one of two missing graphs,
+    # and they save in turn: both entries stay
+    committed = WeightTable.load(CACHE).entries
+    missing = ("1;2;[b1,b1]", "1;2;[b2,b2]")
+    path = tmp_path / "cache.json"
+    WeightTable({k: e for k, e in committed.items() if k not in missing}).save(path)
+    first, second = WeightTable.load(path), WeightTable.load(path)
+    build_weight_table([parse_id(missing[0])], seed=2024, table=first)
+    build_weight_table([parse_id(missing[1])], seed=2024, table=second)
+    # and where both hold a graph, the saving table's own entry wins
+    own = WeightEntry(0.5, 0.0, 10_000, 7, Fraction(1, 2))
+    second.entries["1;2;[b1,b2]"] = own
+    first.save(path)
+    second.save(path)
+    assert WeightTable.load(path).entries == {**committed, "1;2;[b1,b2]": own}
+
+
 def test_weight_table_last_write_wins():
     table = WeightTable()
     table.put(WeightEstimate("id", 0.4, 0.1, 10, 1), None)
@@ -506,6 +524,13 @@ def test_snap_is_exact_for_a_bound_past_the_float_range():
 # ---------------------------------------------------------------------------
 
 CACHE = Path(__file__).parent / ".weight_cache.json"
+
+
+def _order_two_table_graphs():
+    """Every graph the committed cache holds: orders 1 and 2."""
+    return [g for n in (1, 2) for g in enumerate_graphs(n, 2, 2)]
+
+
 NOISE_ZERO_ORBITS = ("2;2;[2,b1],[1,b1]", "2;2;[2,b2],[1,b2]")
 
 
@@ -537,7 +562,7 @@ def _integrand_sizes(ids, n=2, seed=2024, count=1000):
 
 def test_unreached_boundary_vertex_integrand_vanishes():
     members = [
-        canonical_id(g) for g in star_graphs(2)
+        canonical_id(g) for g in enumerate_graphs(2, 2, 2)
         if canonical_id(orbit(g, mirror=True)[0]) in NOISE_ZERO_ORBITS
     ]
     assert len(members) == 8
@@ -678,9 +703,9 @@ def test_build_weight_table_estimates_each_orbit_once(monkeypatch):
         return WeightEstimate(canonical_id(g), float(exact), 1e-6, samples, seed)
 
     monkeypatch.setattr(weights, "weight_mc", stub)
-    table = build_weight_table(star_graphs(2), seed=2024)
+    table = build_weight_table(_order_two_table_graphs(), seed=2024)
     assert sorted(estimated) == sorted(
-        {canonical_id(orbit(g, mirror=True)[0]) for g in star_graphs(2)
+        {canonical_id(orbit(g, mirror=True)[0]) for g in _order_two_table_graphs()
          if weight_rule(g) is None}
     )
     assert len(estimated) == 3
@@ -738,7 +763,7 @@ def test_estimate_and_snap_stops_escalating_at_the_cap(monkeypatch):
 def test_order_two_table_rederived_from_empty_cache():
     # the whole order-2 table from scratch: three Monte-Carlo orbits at 1M
     # samples must reproduce every committed snapped value
-    table = build_weight_table(star_graphs(2), seed=2024)
+    table = build_weight_table(_order_two_table_graphs(), seed=2024)
     committed = WeightTable.load(CACHE)
     assert len(table.entries) == 85
     assert {gid: e.snapped for gid, e in table.entries.items()} == {
@@ -804,8 +829,8 @@ def _integrand_graphs(order):
     """The graphs with exactly `order` aerial vertices and two edges per
     vertex whose weight no support rule fixes."""
     return [
-        g for g in star_graphs(order)
-        if g.n == order and _rule_name(g) not in SUPPORT_RULES
+        g for g in enumerate_graphs(order, 2, 2)
+        if _rule_name(g) not in SUPPORT_RULES
     ]
 
 
