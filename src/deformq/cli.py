@@ -132,12 +132,6 @@ def save_poisson(pi: PolyVector, path: str | Path):
     Path(path).write_text(json.dumps(data, indent=1) + "\n")
 
 
-# what WeightTable.load raises for a cache file it cannot read as a table
-_UNREADABLE = (
-    OSError, ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError
-)
-
-
 def _load_table(args, cache: Path) -> WeightTable:
     """The cache's table; an empty one in mc mode, which reads no file."""
     if args.weights == "mc":
@@ -145,7 +139,7 @@ def _load_table(args, cache: Path) -> WeightTable:
     if cache.exists():
         try:
             return WeightTable.load(cache)
-        except _UNREADABLE as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read weight cache {cache}: {exc}") from exc
     if not cache.parent.is_dir():
         # refused now: the save after the estimates would fail
@@ -158,7 +152,8 @@ def _weight_table(args, cache: Path, table: WeightTable, graphs: dict) -> Weight
     options: mc mode estimates each graph afresh at exactly --samples and
     writes no file; table mode fills the graphs without a snapped entry
     (build_weight_table: one already run to MAX_SAMPLES is snapped again,
-    any other estimated up to it) and saves the cache if one changed."""
+    any other estimated up to it) and saves the entries it changed over the
+    cache file as it is then, so another process's entries stay."""
     mc = args.weights == "mc"
     # a warm cache needs no estimate, nor the module that makes them
     if any(table.exact(gid) is None for gid in graphs):
@@ -173,20 +168,23 @@ def _weight_table(args, cache: Path, table: WeightTable, graphs: dict) -> Weight
             table=table,
             max_samples=args.samples if mc else MAX_SAMPLES,
         )
-        if not mc and table.entries != before:
+        changed = {k: e for k, e in table.entries.items() if before.get(k) != e}
+        if not mc and changed:
             try:
-                table.save(cache)
-            except _UNREADABLE as exc:
-                # the save reads the file, then replaces it atomically
+                WeightTable(changed).save(cache)
+            except OSError as exc:
+                # the save is atomic: the file is left as it was
                 raise UsageError(f"cannot write weight cache {cache}: {exc}") from exc
     return table
 
 
-def _star_table(args, cache: Path, pi: PolyVector) -> tuple[Classes, WeightTable]:
+def _star_table(
+    args, cache: Path, pi: PolyVector, snapped: bool
+) -> tuple[Classes, WeightTable]:
     """star_classes(pi, --order) and _weight_table for their members, the
     only graphs a star or check assoc request reads.  Refused: an order above
     MAX_ORDER before any enumeration, and a member above MAX_SAMPLED_ORDER
-    with no snapped entry and no rule before any fill.  In table mode a
+    with no snapped entry and no rule before any fill.  If `snapped`, a
     member that fails to snap is a check failure."""
     if args.order > MAX_ORDER:
         raise UsageError(
@@ -208,7 +206,7 @@ def _star_table(args, cache: Path, pi: PolyVector) -> tuple[Classes, WeightTable
             raise MissingWeightError(missing)
     table = _weight_table(args, cache, table, graphs)
     unsnapped = [gid for gid in graphs if table.exact(gid) is None]
-    if unsnapped and args.weights == "table":
+    if unsnapped and snapped:
         raise CheckFailure(
             f"weights failed to snap uniquely: {', '.join(sorted(unsnapped))}"
         )
@@ -286,7 +284,7 @@ def cmd_weight(args) -> int:
 
 
 def cmd_star(args) -> int:
-    order = _order(args)
+    _order(args)
     cache = _weight_cache(args)
     pi = load_poisson(args.pi)
     try:
@@ -294,11 +292,11 @@ def cmd_star(args) -> int:
         g = parse_polynomial(args.g, pi.dim)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    classes, table = _star_table(args, cache, pi)
+    classes, table = _star_table(args, cache, pi, snapped=True)
     # its one warning (pi is not Poisson) becomes the CLI's one-line warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = kontsevich_star(pi, f, g, order, table, classes)
+        out = kontsevich_star(pi, f, g, classes, table)
     if caught:
         _print_not_poisson()
     _emit(_series_json(out))
@@ -334,7 +332,8 @@ def _check_assoc(args) -> dict:
     order = _order(args)
     cache = _weight_cache(args)
     pi = load_poisson(args.pi)
-    classes, table = _star_table(args, cache, pi)
+    # mc mode reads every estimate as a band, snapped or not
+    classes, table = _star_table(args, cache, pi, snapped=args.weights == "table")
     _warn_if_not_poisson(pi)
     xs = [Polynomial.var(pi.dim, i) for i in range(1, pi.dim + 1)]
     triples = list(itertools.product(xs, repeat=3))

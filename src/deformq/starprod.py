@@ -321,19 +321,17 @@ def class_rows(
 
 
 def kontsevich_star_series(
-    pi: PolyVector, order: int, table: WeightTable, classes: Classes | None = None
+    pi: PolyVector, classes: Classes, table: WeightTable
 ) -> StarSeries:
-    """Exact star series from snapped weights: the h^n operator is
+    """Exact star series of pi from snapped weights, up to the order
+    len(classes) of its star_classes: the h^n operator is
     (1/n!) sum_Gamma w_Gamma B_Gamma over the 2n-edge graphs of order n,
-    summed over the class_rows of star_classes(pi, order), or of `classes`
-    when a caller that reads their members has built them already.
+    summed over the class_rows of classes.
 
     Graphs whose operator vanishes identically (parallel edges) never need a
     weight.  A contributing graph without a snapped weight raises
     MissingWeightError.
     """
-    if classes is None:
-        classes = star_classes(pi, order)
     if not jacobiator(pi).is_zero:
         warnings.warn(
             "bivector is not Poisson: [pi,pi] != 0; the series will not be "
@@ -344,19 +342,14 @@ def kontsevich_star_series(
         linear_combination(((c, op) for (c, _), op in rows), pi.dim, 2)
         for rows in class_rows(pi.dim, classes, point_weights(table))
     ]
-    return StarSeries(order, tuple(ops))
+    return StarSeries(len(classes), tuple(ops))
 
 
 def kontsevich_star(
-    pi: PolyVector,
-    f: Polynomial,
-    g: Polynomial,
-    order: int,
-    table: WeightTable,
-    classes: Classes | None = None,
+    pi: PolyVector, f: Polynomial, g: Polynomial, classes: Classes, table: WeightTable
 ) -> FormalSeries:
-    series = kontsevich_star_series(pi, order, table, classes)
-    return star_apply(series, lift(f, order), lift(g, order))
+    series = kontsevich_star_series(pi, classes, table)
+    return star_apply(series, lift(f, series.order), lift(g, series.order))
 
 
 # ---------------------------------------------------------------------------

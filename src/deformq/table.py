@@ -94,16 +94,18 @@ class WeightTable:
         )
 
     def save(self, path: str | Path):
-        """Write the table, and the entries of the file at path that it
-        lacks, to path atomically: processes that fill different graphs of
-        one file keep both, unless they save at once, and a concurrent
-        reader sees the old file or the new one, never a part of one.  A
-        file there that load cannot read raises, and is left as it was."""
+        """Write the table over the entries of the file at path, to path
+        atomically: processes that save different graphs of one file keep
+        both, unless they save at once, and a concurrent reader sees the old
+        file or the new one, never a part of one.  Raises OSError when the
+        file there cannot be read or written, and leaves it as it was."""
         path = Path(path)
         try:
             entries = {**WeightTable.load(path).entries, **self.entries}
         except FileNotFoundError:
             entries = self.entries
+        except ValueError as exc:
+            raise OSError(f"not a weight table: {exc}") from exc
         text = json.dumps(WeightTable(entries).to_json(), indent=1) + "\n"
         # a name no other live process writes, beside path, so that the
         # replace is a rename within one file system
@@ -118,4 +120,10 @@ class WeightTable:
 
     @staticmethod
     def load(path: str | Path) -> "WeightTable":
-        return WeightTable.from_json(json.loads(Path(path).read_text()))
+        """The table in the file at path: OSError if it cannot be read,
+        ValueError if it holds no weight table."""
+        data = json.loads(Path(path).read_text())
+        try:
+            return WeightTable.from_json(data)
+        except (ZeroDivisionError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(exc) from exc

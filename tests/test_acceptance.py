@@ -184,7 +184,7 @@ def test_criterion_4_order_one_kontsevich(weight_table):
     for pi in [so3_bivector()] + [rand_const_bivector(rng, 3) for _ in range(3)]:
         for i, j in itertools.combinations(range(1, 4), 2):
             f, g = Polynomial.var(3, i), Polynomial.var(3, j)
-            series = kontsevich_star(pi, f, g, 1, weight_table)
+            series = kontsevich_star(pi, f, g, star_classes(pi, 1), weight_table)
             assert series.coeffs[1] == poisson_bracket(pi, f, g)
             checked += 1
     report(4, f"order-1 coefficient equals the Poisson bracket on {checked} coordinate pairs")
@@ -202,7 +202,7 @@ def test_criterion_5_order_two_matches_moyal(weight_table):
         dim = rng.randint(2, 4)
         pi = rand_const_bivector(rng, dim)
         f, g = rand_poly(rng, dim), rand_poly(rng, dim)
-        assert kontsevich_star(pi, f, g, 2, weight_table).coeffs == moyal(
+        assert kontsevich_star(pi, f, g, star_classes(pi, 2), weight_table).coeffs == moyal(
             pi, f, g, 2
         ).coeffs
     snapped_values = sorted(
@@ -217,7 +217,7 @@ def test_criterion_5_order_two_matches_moyal(weight_table):
 
 def test_criterion_6_order_two_associativity(weight_table):
     pi = so3_bivector()
-    series = kontsevich_star_series(pi, 2, weight_table)
+    series = kontsevich_star_series(pi, star_classes(pi, 2), weight_table)
     xs = [Polynomial.var(3, i) for i in (1, 2, 3)]
     for f, g, h in itertools.product(xs, repeat=3):
         defect = associator(series, f, g, h, 2)

@@ -15,6 +15,7 @@ from deformq import cli, closedform, graphs, starprod, weights
 from deformq.cli import load_poisson, main, save_poisson
 from deformq.graphs import canonical_id, orbit, parse_id
 from deformq.polyalg import Polynomial, PolyVector, parse_polynomial
+from deformq.table import WeightTable
 
 
 @pytest.fixture
@@ -670,6 +671,27 @@ def test_an_entry_below_the_cap_is_still_escalated(
 
 
 @pytest.mark.parametrize("mode", ["table", "mc"])
+def test_star_fails_the_check_on_a_weight_that_cannot_snap(
+    monkeypatch, capsys, tmp_path, so3_file, mode
+):
+    def never_snapping(g, samples, seed, boundary_points=(0.0, 1.0)):
+        # a 3-sigma band of width 6 always holds several candidates
+        return weights.WeightEstimate(canonical_id(g), -1 / 12, 1.0, samples, seed)
+
+    monkeypatch.setattr(weights, "_sample_weight", never_snapping)
+    cache = _capped_cache(tmp_path, samples=1_000_000)
+    code = main(
+        ["star", "--pi", so3_file, "--f", "x1", "--g", "x2", "--order", "2",
+         "--weights", mode, "--samples", "10000", "--cache", str(cache)]
+    )
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    # mc mode estimates every graph it reads; table mode only the one unsnapped
+    assert err.startswith("check failed: weights failed to snap uniquely: ")
+    assert CAPPED in err and err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["table", "mc"])
 @pytest.mark.parametrize(
     "command",
     [["star", "--f", "x1", "--g", "x2"], ["check", "assoc"], ["assoc"]],
@@ -1105,8 +1127,11 @@ def test_a_cache_that_cannot_be_written_is_a_usage_error(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["partial.json", "so3.json"]
 
 
+@pytest.mark.parametrize(
+    "written", ["{", '{"1;2;[b1,b2]": {"mean": 0.5}}'], ids=["json", "entry"]
+)
 def test_a_cache_unreadable_at_save_time_is_a_usage_error(
-    monkeypatch, capsys, tmp_path, so3_file
+    monkeypatch, capsys, tmp_path, so3_file, written
 ):
     # the save keeps the file's other entries, so it reads the file first
     entries = json.loads((Path(__file__).parent / ".weight_cache.json").read_text())
@@ -1117,7 +1142,7 @@ def test_a_cache_unreadable_at_save_time_is_a_usage_error(
 
     def another_process_writes(*args, **kwargs):
         table = real(*args, **kwargs)
-        cache.write_text("{")
+        cache.write_text(written)
         return table
 
     monkeypatch.setattr(weights, "build_weight_table", another_process_writes)
@@ -1125,8 +1150,49 @@ def test_a_cache_unreadable_at_save_time_is_a_usage_error(
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write weight cache {cache}: ")
-    assert cache.read_text() == "{"
+    assert cache.read_text() == written
     assert sorted(p.name for p in tmp_path.iterdir()) == ["partial.json", "so3.json"]
+
+
+def test_a_save_keeps_what_another_process_changed_since_its_load(
+    monkeypatch, tmp_path
+):
+    # two processes load one cache: the first snaps CAPPED again and saves,
+    # then the second fills a graph the file lacks and saves; the second
+    # must not write back the unsnapped CAPPED it loaded
+    monkeypatch.setattr(weights, "_sample_weight", _no_sampling)
+    cache = _capped_cache(tmp_path)
+    entries = json.loads(cache.read_text())
+    del entries[READ_RULE_FIXED]
+    cache.write_text(json.dumps(entries))
+    args = cli.build_parser().parse_args(["weight", "--graph", CAPPED])
+    first, second = WeightTable.load(cache), WeightTable.load(cache)
+    cli._weight_table(args, cache, first, {CAPPED: parse_id(CAPPED)})
+    fixed = parse_id(READ_RULE_FIXED)
+    cli._weight_table(args, cache, second, {READ_RULE_FIXED: fixed})
+    saved = json.loads(cache.read_text())
+    assert saved[CAPPED]["snapped"] == "-1/12"
+    assert saved[READ_RULE_FIXED]["snapped"] == "0"
+
+
+def test_a_fault_in_the_save_is_a_crash_not_a_usage_error(
+    monkeypatch, capsys, tmp_path
+):
+    entries = json.loads((Path(__file__).parent / ".weight_cache.json").read_text())
+    del entries[READ_RULE_FIXED]
+    cache = tmp_path / "partial.json"
+    cache.write_text(json.dumps(entries))
+    before = cache.read_bytes()
+
+    def faulty(self):
+        raise TypeError("a fault in the program")
+
+    monkeypatch.setattr(WeightTable, "to_json", faulty)
+    code = main(["weight", "--graph", READ_RULE_FIXED, "--cache", str(cache)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (70, "")
+    assert err.startswith("Traceback") and "a fault in the program" in err
+    assert cache.read_bytes() == before
 
 
 def test_star_warns_on_non_poisson(capsys, tmp_path, weight_cache_path, monkeypatch):

@@ -25,7 +25,7 @@ import pytest
 
 from deformq.graphs import canonical_id, enumerate_graphs, orbit, parse_id
 from deformq.polyalg import Polynomial, PolyVector
-from deformq.starprod import kontsevich_star_series, lift, star_apply
+from deformq.starprod import kontsevich_star_series, lift, star_apply, star_classes
 from deformq.table import WeightEntry, WeightTable
 
 # structure constants {(i, j): {k: c}}, 1-based, i < j: [e_i, e_j] = c e_k
@@ -155,7 +155,8 @@ def _mismatches(consts: dict, dim: int, table: WeightTable) -> list:
     """The (a, b, m) whose h^m coefficient of x^a * x^b differs from Gutt's,
     over every pair of monomials of degree 1 or 2."""
     oracle = gutt_products(consts, dim)
-    series = kontsevich_star_series(_linear_pi(consts, dim), ORDER, table)
+    pi = _linear_pi(consts, dim)
+    series = kontsevich_star_series(pi, star_classes(pi, ORDER), table)
     bad = []
     for (a, b), want in sorted(oracle.items()):
         got = star_apply(

@@ -236,7 +236,7 @@ def test_kontsevich_order_one_is_poisson_bracket(weight_table):
     pi = so3_bivector()
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         f, g = Polynomial.var(3, i), Polynomial.var(3, j)
-        s = kontsevich_star(pi, f, g, 1, weight_table)
+        s = kontsevich_star(pi, f, g, star_classes(pi, 1), weight_table)
         assert s.coeffs[0] == f * g
         assert s.coeffs[1] == poisson_bracket(pi, f, g)
 
@@ -244,7 +244,7 @@ def test_kontsevich_order_one_is_poisson_bracket(weight_table):
 def test_kontsevich_zero_pi_is_pointwise(weight_table):
     pi = PolyVector(2, 2, {})
     f, g = P("x1 + x2", 2), P("x1 x2", 2)
-    s = kontsevich_star(pi, f, g, 2, weight_table)
+    s = kontsevich_star(pi, f, g, star_classes(pi, 2), weight_table)
     assert s.coeffs[0] == f * g
     assert all(c.is_zero for c in s.coeffs[1:])
 
@@ -255,7 +255,7 @@ def test_kontsevich_matches_moyal_at_order_two(weight_table):
         dim = rng.randint(2, 3)
         pi = rand_const_bivector(rng, dim)
         f, g = rand_poly(rng, dim), rand_poly(rng, dim)
-        km = kontsevich_star(pi, f, g, 2, weight_table)
+        km = kontsevich_star(pi, f, g, star_classes(pi, 2), weight_table)
         assert km.coeffs == moyal(pi, f, g, 2).coeffs
 
 
@@ -263,20 +263,21 @@ def test_kontsevich_unit_axiom(weight_table):
     pi = so3_bivector()
     one = Polynomial.const(3, 1)
     f = P("x1 x3^2 - x2", 3)
-    s = kontsevich_star(pi, one, f, 2, weight_table)
+    s = kontsevich_star(pi, one, f, star_classes(pi, 2), weight_table)
     assert s.coeffs[0] == f and all(c.is_zero for c in s.coeffs[1:])
-    s = kontsevich_star(pi, f, one, 2, weight_table)
+    s = kontsevich_star(pi, f, one, star_classes(pi, 2), weight_table)
     assert s.coeffs[0] == f and all(c.is_zero for c in s.coeffs[1:])
 
 
 def test_kontsevich_first_order_antisym(weight_table):
     pi = so3_bivector()
-    assert first_order_antisym(kontsevich_star_series(pi, 2, weight_table)) == pi
+    series = kontsevich_star_series(pi, star_classes(pi, 2), weight_table)
+    assert first_order_antisym(series) == pi
 
 
 def test_kontsevich_order_two_associativity_so3(weight_table):
     pi = so3_bivector()
-    series = kontsevich_star_series(pi, 2, weight_table)
+    series = kontsevich_star_series(pi, star_classes(pi, 2), weight_table)
     assert series.is_strict()
     xs = [Polynomial.var(3, i) for i in (1, 2, 3)]
     for f, g, h in itertools.product(xs, repeat=3):
@@ -300,7 +301,7 @@ def test_kontsevich_order_two_associativity_other_linear(weight_table):
     xs = [Polynomial.var(3, i) for i in (1, 2, 3)]
     for pi in (heisenberg, mixed_signs):
         assert jacobiator(pi).is_zero
-        series = kontsevich_star_series(pi, 2, weight_table)
+        series = kontsevich_star_series(pi, star_classes(pi, 2), weight_table)
         for f, g, h in itertools.product(xs, repeat=3):
             defect = associator(series, f, g, h, 2)
             assert all(c.is_zero for c in defect.coeffs)
@@ -310,7 +311,7 @@ def test_kontsevich_order_two_associativity_quadratic(weight_table):
     # any bivector on R^2 is Poisson; quadratic coefficients exercise the
     # x-dependent internal-edge contributions
     pi = PolyVector(2, 2, {(1, 2): P("x1 x2 + x1^2", 2)})
-    series = kontsevich_star_series(pi, 2, weight_table)
+    series = kontsevich_star_series(pi, star_classes(pi, 2), weight_table)
     xs = [Polynomial.var(2, 1), Polynomial.var(2, 2)]
     args = xs + [xs[0] * xs[1]]
     for f, g, h in itertools.product(args, repeat=3):
@@ -318,14 +319,15 @@ def test_kontsevich_order_two_associativity_quadratic(weight_table):
         assert all(c.is_zero for c in defect.coeffs)
 
 
-def test_kontsevich_rejects_high_order(weight_table):
+def test_kontsevich_rejects_high_order():
     with pytest.raises(ValueError):
-        kontsevich_star_series(so3_bivector(), 4, weight_table)
+        star_classes(so3_bivector(), 4)
 
 
 def test_kontsevich_missing_weight_raises():
     with pytest.raises(MissingWeightError):
-        kontsevich_star_series(so3_bivector(), 1, WeightTable())
+        pi = so3_bivector()
+        kontsevich_star_series(pi, star_classes(pi, 1), WeightTable())
 
 
 def test_kontsevich_warns_on_non_poisson():
@@ -344,7 +346,12 @@ def test_kontsevich_warns_on_non_poisson():
     table = WeightTable()
     with pytest.warns(UserWarning):
         with pytest.raises(MissingWeightError):
-            kontsevich_star_series(bad, 1, table)
+            kontsevich_star_series(bad, star_classes(bad, 1), table)
+
+
+def _so3_series(table):
+    pi = so3_bivector()
+    return kontsevich_star_series(pi, star_classes(pi, 2), table)
 
 
 def _bound(pi, order, weight):
@@ -462,7 +469,8 @@ def test_interval_zero_widths_match_exact_path(weight_table):
     ]
     for pi in structures:
         bound = _bound(pi, 2, point_weights(weight_table))
-        exact = operator_associator(kontsevich_star_series(pi, 2, weight_table))
+        series = kontsevich_star_series(pi, star_classes(pi, 2), weight_table)
+        exact = operator_associator(series)
         assert len(bound) == len(exact) == 3
         for (center, radius), defect in zip(bound, exact):
             assert radius.is_zero
@@ -496,7 +504,7 @@ def test_order_two_associator_is_minus_two_hkr_jacobiator(weight_table):
         jac = jacobiator(pi)
         assert not jac.is_zero
         with pytest.warns(UserWarning, match="not Poisson"):
-            series = kontsevich_star_series(pi, 2, weight_table)
+            series = kontsevich_star_series(pi, star_classes(pi, 2), weight_table)
         defect = operator_associator(series)
         assert defect[0].is_zero and defect[1].is_zero
         assert defect[2] == hkr(jac).scale(-2)
@@ -549,7 +557,7 @@ def test_maurer_cartan_equals_associativity_defect(weight_table):
     rng = random.Random(53)
     series_list = [
         moyal_series(rand_const_bivector(rng, 2), 2),
-        kontsevich_star_series(so3_bivector(), 2, weight_table),
+        _so3_series(weight_table),
     ]
     for series in series_list:
         defect = operator_associator(series)
@@ -585,7 +593,7 @@ def test_operator_associator_matches_argument_associator(weight_table):
         for dim, order in ((1, 1), (2, 2), (3, 2))
     ]
     series_list += [
-        kontsevich_star_series(so3_bivector(), 2, weight_table),
+        _so3_series(weight_table),
         gauged,
         non_strict,
     ]
@@ -724,7 +732,7 @@ def test_gauge_transform_preserves_induced_bivector(weight_table):
     # gauge transforms, so equivalent products deform the same structure
     rng = random.Random(47)
     cases = [moyal_series(rand_const_bivector(rng, 2), 2)]
-    cases.append(kontsevich_star_series(so3_bivector(), 2, weight_table))
+    cases.append(_so3_series(weight_table))
     for series in cases:
         pi = first_order_antisym(series)
         d_op = rand_gauge(rng, series.dim, 2)
@@ -752,7 +760,7 @@ def test_wheel_weight_is_a_gauge_direction_at_order_two(weight_table):
     def series(pi, table):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a generic pi in 3-D is not Poisson
-            return kontsevich_star_series(pi, 2, table)
+            return kontsevich_star_series(pi, star_classes(pi, 2), table)
 
     rng = random.Random(71)
     generic = [_rand_quadratic_bivector(rng, dim) for dim in (2, 2, 3, 3)]
@@ -833,7 +841,7 @@ def test_non_poisson_structure_fails_associativity(weight_table):
     assert not jacobiator(bad).is_zero
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        series = kontsevich_star_series(bad, 2, weight_table)
+        series = kontsevich_star_series(bad, star_classes(bad, 2), weight_table)
     xs = [Polynomial.var(3, i) for i in (1, 2, 3)]
     found_defect = False
     for f, g, h in itertools.product(xs, repeat=3):
