@@ -10,11 +10,11 @@ once in an `_add_*` helper.  `weight`, `star` and `check assoc` (alias `assoc`)
 check the weight options (`_weight_cache`) and get their weights from
 `_weight_table`, which in table mode reads a snapped weight, never re-samples
 it; every command that reads `--order` refuses a negative one (`_order`).
-`star` and `check assoc` fill only the graphs they read (`_star_table`).  A warm
-`star` or `check assoc` (every weight it needs snapped in the cache) imports
-only the modules whose code it runs.  The Monte-Carlo estimation
-(`weights`), the closed forms (`closedform`) and the randomised suites
-(`suites`) are imported inside the handlers that use them.
+`star` and `check assoc` fill only the class representatives they read
+(`_star_table`).  A warm `star` or `check assoc` (every weight it needs
+snapped in the cache) imports only the modules whose code it runs.  The
+Monte-Carlo estimation (`weights`), the closed forms (`closedform`) and the
+randomised suites (`suites`) are imported inside the handlers that use them.
 """
 
 from __future__ import annotations
@@ -181,17 +181,17 @@ def _weight_table(args, cache: Path, table: WeightTable, graphs: dict) -> Weight
 def _star_table(
     args, cache: Path, pi: PolyVector, snapped: bool
 ) -> tuple[Classes, WeightTable]:
-    """star_classes(pi, --order) and _weight_table for their members, the
-    only graphs a star or check assoc request reads.  Refused: an order above
-    MAX_ORDER before any enumeration, and a member above MAX_SAMPLED_ORDER
-    with no snapped entry and no rule before any fill.  If `snapped`, a
-    member that fails to snap is a check failure."""
+    """star_classes(pi, --order) and _weight_table for their representatives,
+    the only graphs a star or check assoc request reads.  Refused: an order
+    above MAX_ORDER before any enumeration, and a representative above
+    MAX_SAMPLED_ORDER with no snapped entry and no rule before any fill.  If
+    `snapped`, one that fails to snap is a check failure."""
     if args.order > MAX_ORDER:
         raise UsageError(
             f"--order {args.order} is above {MAX_ORDER}, the highest star order"
         )
     classes = star_classes(pi, args.order)
-    graphs = {canonical_id(g): g for row in classes for _, gs in row for g, _ in gs}
+    graphs = {canonical_id(gs[0][0]): gs[0][0] for row in classes for _, gs in row}
     table = _load_table(args, cache)
     if args.order > MAX_SAMPLED_ORDER:
         from deformq.weights import weight_rule
@@ -246,9 +246,12 @@ def cmd_graphs(args) -> int:
         raise UsageError("only --nbar 2 is in scope for star products")
     if args.n < 0 or 2 * args.n + args.nbar - 2 < 0:
         raise UsageError("invalid vertex counts")
-    # two ordered edges per aerial vertex, each to one of n + nbar - 1 targets
-    count = (args.n + args.nbar - 1) ** (2 * args.n)
-    if count > MAX_GRAPHS:
+    # 2n ordered edges, each to one of n + nbar - 1 targets, at least 2 if
+    # n >= 1: more edges than the limit has bits exceed it, left a power
+    base, edges = args.n + args.nbar - 1, 2 * args.n
+    big = edges > MAX_GRAPHS.bit_length()
+    count = f"{base}^{edges}" if big else base**edges
+    if big or count > MAX_GRAPHS:
         raise UsageError(
             f"--n {args.n} has {count} labelled graphs, more than {MAX_GRAPHS}"
         )

@@ -213,9 +213,10 @@ def _vanishes_by_rule(g: AdmissibleGraph, top_degree: int) -> bool:
 def _class_operators(
     pi: PolyVector, n: int
 ) -> list[tuple[MultiDiffOp, list[tuple[AdmissibleGraph, int]]]]:
-    """(B_rep, [(g, sign), ...]) for every class of order-n graphs under
-    graphs.orbit whose operator is nonzero, in order of first member, with
-    the members in enumeration order: B_Gamma(g) = sign * B_rep.
+    """(B_rep, [(rep, 1), (g, sign), ...]) for every class of order-n graphs
+    under graphs.orbit whose operator is nonzero, in order of first member,
+    with the members in enumeration order, so the representative (the least
+    image) comes first: B_Gamma(g) = sign * B_rep.
 
     Each class's operator is built once, from its representative.  Graphs
     that vanish by rule (_vanishes_by_rule) and classes of sign 0, whose
@@ -256,7 +257,8 @@ Classes = list[list[tuple[MultiDiffOp, list[tuple[AdmissibleGraph, int]]]]]
 
 def star_classes(pi: PolyVector, order: int) -> Classes:
     """_class_operators(pi, n) for n = 1..order: every graph the series of
-    pi up to `order` reads a weight for is a member of one of these classes."""
+    pi up to `order` reads a weight for is the representative (first member)
+    of one of these classes."""
     if order > MAX_ORDER:
         raise ValueError(f"orders above {MAX_ORDER} are outside the weight table scope")
     return [_class_operators(pi, n) for n in range(1, order + 1)]
@@ -293,9 +295,10 @@ def class_rows(
     one per class c of classes[n - 1] (star_classes); a class whose W_c is
     the point 0 is left out.  Order 0 is the multiplication with weight 1.
 
-    B_c is the representative's operator and W_c = sum_{g in c} sign_g *
-    weight(id of g) reads every member's own entry, so an inconsistent table
-    is assembled as it stands.  Members without a weight raise
+    B_c is the representative's operator and W_c = |c| * weight(id of the
+    representative), since every member g has w(g) = sign_g * w(rep) and
+    B(g) = sign_g * B(rep); an interval scales centre and radius alike.
+    Only representatives are read: those without a weight raise
     MissingWeightError naming each of them.
     """
     out = [[(_UNIT, MultiDiffOp.multiplication(dim))]]
@@ -304,16 +307,13 @@ def class_rows(
         scale = Fraction(1, factorial(n))
         rows = []
         for op, members in order_classes:
-            centre = radius = 0
-            for g, sign in members:
-                w = weight(canonical_id(g))
-                if w is None:
-                    missing.append(g)
-                    continue
-                centre += sign * w[0]
-                radius += w[1]
-            if centre or radius:
-                rows.append(((centre, radius), op.scale(scale)))
+            rep = members[0][0]
+            w = weight(canonical_id(rep))
+            if w is None:
+                missing.append(rep)
+            elif w[0] or w[1]:
+                size = len(members)
+                rows.append(((size * w[0], size * w[1]), op.scale(scale)))
         out.append(rows)
     if missing:
         raise MissingWeightError(missing)
@@ -326,11 +326,8 @@ def kontsevich_star_series(
     """Exact star series of pi from snapped weights, up to the order
     len(classes) of its star_classes: the h^n operator is
     (1/n!) sum_Gamma w_Gamma B_Gamma over the 2n-edge graphs of order n,
-    summed over the class_rows of classes.
-
-    Graphs whose operator vanishes identically (parallel edges) never need a
-    weight.  A contributing graph without a snapped weight raises
-    MissingWeightError.
+    summed over the class_rows of classes.  A representative without a
+    snapped weight raises MissingWeightError.
     """
     if not jacobiator(pi).is_zero:
         warnings.warn(

@@ -95,6 +95,17 @@ def test_graphs_refuses_more_than_a_million_before_enumerating(
     assert code == 0 and out["count"] == 0
 
 
+@pytest.mark.parametrize("n", [748, 10_000_000])
+def test_graphs_refuses_a_huge_n_at_once(capsys, n):
+    # (n + 1)^(2n) is never multiplied out: at n = 748 it has more digits
+    # than Python prints, and at n = 10^7 it takes minutes to compute
+    start = time.perf_counter()
+    assert main(["graphs", "--n", str(n), "--nbar", "2"]) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--n {n} has {n + 1}^{2 * n} labelled graphs" in err
+
+
 def test_a_crash_exits_70_with_empty_stdout(monkeypatch, capsys):
     # an uncaught exception must not share exit 1 with a failed check
     def crash(args):
@@ -707,6 +718,14 @@ def test_order_three_refused_before_any_work(
     for name in ("build_weight_table", "estimate_and_snap", "weight_mc"):
         monkeypatch.setattr(weights, name, no_work)
     monkeypatch.setattr(starprod, "kontsevich_star_series", no_work)
+    ruled = []
+    real_rule = weights.weight_rule
+
+    def counting_rule(g):
+        ruled.append(g)
+        return real_rule(g)
+
+    monkeypatch.setattr(weights, "weight_rule", counting_rule)
     cache = tmp_path / "w.json"
     code = main(
         command
@@ -716,12 +735,15 @@ def test_order_three_refused_before_any_work(
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert not cache.exists()
-    # so(3) reads 392 order-3 graphs in 10 classes; no rule fixes 344 of
-    # them, in 5 classes under the mirror, and none is ever sampled
+    # one rule lookup per order-3 class
+    assert len(ruled) == len(set(ruled)) == 10
+    # so(3) reads 10 order-3 classes, one representative each; no rule fixes
+    # 8 of them, in 5 classes under the mirror, and none is ever sampled
     prefix = "error: no snapped weight for graphs: "
     assert err.startswith(prefix) and err.endswith("\n")
     named = [parse_id(gid) for gid in err[len(prefix):-1].split(", ")]
-    assert len(named) == 344
+    assert len(named) == 8
+    assert all(orbit(g) == (g, 1) for g in named)
     assert named == sorted(named, key=graphs._order_key)
     assert all(g.n == 3 and weights.weight_rule(g) is None for g in named)
     assert len({orbit(g, mirror=True)[0] for g in named}) == 5
@@ -803,22 +825,23 @@ def test_check_assoc_certifies_operator_identity(
 def test_check_assoc_reads_each_members_own_weight(
     capsys, so3_file, weight_cache_path, tmp_path
 ):
-    # a member whose entry disagrees with its orbit representative: the
-    # certificate checks the series `star` assembles from every member's own
-    # entry, which is not associative
+    # a class is read through its representative alone: altering the
+    # representative's entry breaks the certificate, altering another
+    # member's entry leaves it as it was
     entries = json.loads(Path(weight_cache_path).read_text())
     member, rep = "2;2;[2,b1],[b2,b1]", "2;2;[2,b1],[b1,b2]"
     assert entries[member]["snapped"] == "1/12"
     assert entries[rep]["snapped"] == "-1/12"
-    entries[member]["snapped"] = "0"
-    cache = tmp_path / "member.json"
-    cache.write_text(json.dumps(entries))
-    code, out = run(
-        capsys,
-        ["check", "assoc", "--pi", so3_file, "--order", "2", "--cache", str(cache)],
-    )
-    assert code == 1
-    assert out["pass"] is False
+    for gid, passes in ((rep, False), (member, True)):
+        altered = json.loads(json.dumps(entries))
+        altered[gid]["snapped"] = "0"
+        cache = tmp_path / "altered.json"
+        cache.write_text(json.dumps(altered))
+        code, out = run(
+            capsys,
+            ["check", "assoc", "--pi", so3_file, "--order", "2", "--cache", str(cache)],
+        )
+        assert (code, out["pass"]) == ((0, True) if passes else (1, False))
 
 
 def test_assoc_alias(capsys, so3_file, cache_arg):
@@ -1276,11 +1299,12 @@ def test_star_builds_operators_once_per_order(capsys, so3_file, cache_arg, monke
 @pytest.mark.parametrize(
     "components, written, estimated",
     [
-        # so(3): 2 order-1 and 36 order-2 graphs, 10 of them fixed by a rule
-        ({"1,2": "x3", "1,3": "- x2", "2,3": "x1"}, 38,
+        # so(3): 1 order-1 and 6 order-2 classes, one representative each,
+        # 3 of them fixed by a rule
+        ({"1,2": "x3", "1,3": "- x2", "2,3": "x1"}, 7,
          ["2;2;[2,b1],[1,b2]", "2;2;[2,b1],[b1,b2]", "2;2;[b1,b2],[b1,b2]"]),
         # a constant pi reads no graph with an edge between aerial vertices
-        ({"1,2": "1", "3,4": "2"}, 6, ["2;2;[b1,b2],[b1,b2]"]),
+        ({"1,2": "1", "3,4": "2"}, 2, ["2;2;[b1,b2],[b1,b2]"]),
     ],
     ids=["so3", "constant-4d"],
 )
