@@ -147,21 +147,28 @@ def _load_table(args, cache: Path) -> WeightTable:
     return WeightTable()
 
 
-def _weight_table(args, cache: Path, table: WeightTable, graphs: dict) -> WeightTable:
+def _weight_table(
+    args, cache: Path, table: WeightTable, graphs: dict, max_order: int | None = None
+) -> WeightTable:
     """`table` (_load_table) with `graphs` (id -> graph) filled at the weight
-    options: mc mode estimates each graph afresh at exactly --samples and
-    writes no file; table mode fills the graphs without a snapped entry
-    (build_weight_table: one already run to MAX_SAMPLES is snapped again,
-    any other estimated up to it) and saves the entries it changed over the
+    options.  Only the graphs without a snapped entry need a fill, and only
+    they load `weights`: one above `max_order` that no rule fixes is refused
+    (MissingWeightError) before any fill, and the rest go to
+    build_weight_table.  mc mode estimates each afresh at exactly --samples
+    and writes no file; table mode saves the entries it changed over the
     cache file as it is then, so another process's entries stay."""
     mc = args.weights == "mc"
-    # a warm cache needs no estimate, nor the module that makes them
-    if any(table.exact(gid) is None for gid in graphs):
-        from deformq.weights import build_weight_table
+    need = [g for gid, g in graphs.items() if table.exact(gid) is None]
+    if need:
+        from deformq.weights import build_weight_table, weight_rule
 
+        if max_order is not None:
+            missing = [g for g in need if g.n > max_order and weight_rule(g) is None]
+            if missing:
+                raise MissingWeightError(missing)
         before = dict(table.entries)
         table = build_weight_table(
-            graphs.values(),
+            need,
             seed=args.seed,
             max_denominator=args.max_denominator,
             initial_samples=args.samples,
@@ -183,28 +190,19 @@ def _star_table(
 ) -> tuple[Classes, WeightTable]:
     """star_classes(pi, --order) and _weight_table for their representatives,
     the only graphs a star or check assoc request reads.  Refused: an order
-    above MAX_ORDER before any enumeration, and a representative above
-    MAX_SAMPLED_ORDER with no snapped entry and no rule before any fill.  If
-    `snapped`, one that fails to snap is a check failure."""
+    above MAX_ORDER before any enumeration, and (by _weight_table) a
+    representative above MAX_SAMPLED_ORDER with no snapped entry and no rule
+    before any fill.  If `snapped`, one that fails to snap is a check
+    failure."""
     if args.order > MAX_ORDER:
         raise UsageError(
             f"--order {args.order} is above {MAX_ORDER}, the highest star order"
         )
     classes = star_classes(pi, args.order)
     graphs = {canonical_id(gs[0][0]): gs[0][0] for row in classes for _, gs in row}
-    table = _load_table(args, cache)
-    if args.order > MAX_SAMPLED_ORDER:
-        from deformq.weights import weight_rule
-
-        missing = [
-            g for gid, g in graphs.items()
-            if g.n > MAX_SAMPLED_ORDER
-            and table.exact(gid) is None
-            and weight_rule(g) is None
-        ]
-        if missing:
-            raise MissingWeightError(missing)
-    table = _weight_table(args, cache, table, graphs)
+    table = _weight_table(
+        args, cache, _load_table(args, cache), graphs, MAX_SAMPLED_ORDER
+    )
     unsnapped = [gid for gid in graphs if table.exact(gid) is None]
     if unsnapped and snapped:
         raise CheckFailure(

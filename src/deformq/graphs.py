@@ -161,7 +161,7 @@ def orbit(g: AdmissibleGraph, mirror: bool = False) -> tuple[AdmissibleGraph, in
 
 # parse_id's patterns, compiled (and cached by re) on its first call, so that
 # a process that parses no id compiles none
-_ID_RE = r"^(\d+);(\d+);(.*)$"
+_ID_RE = r"^([0-9]+);([0-9]+);(.*)$"
 _STAR_RE = r"\[([^\]]*)\]"
 _TARGET = r"\s*b?[0-9]+\s*"
 _STAR = rf"\[(?:{_TARGET}(?:,{_TARGET})*)?\]"

@@ -171,8 +171,8 @@ class Polynomial(Frozen):
         return format_polynomial(self)
 
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_COEFF_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_FACTOR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
+_COEFF_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_polynomial(text: str, dim: int) -> Polynomial:
@@ -207,14 +207,12 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
     for sgn, chunk in chunks:
         coeff = Fraction(sgn)
         exps = [0] * dim
-        saw_factor = False
         for factor in chunk.split():
             if _COEFF_RE.match(factor):
                 try:
                     coeff *= Fraction(factor)
                 except ZeroDivisionError:
                     raise ValueError(f"zero denominator in {text!r}") from None
-                saw_factor = True
                 continue
             m = _FACTOR_RE.match(factor)
             if not m:
@@ -223,9 +221,6 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
             if not 1 <= idx <= dim:
                 raise ValueError(f"variable x{idx} out of range 1..{dim}")
             exps[idx - 1] += int(m.group(2) or 1)
-            saw_factor = True
-        if not saw_factor:
-            raise ValueError(f"empty term in {text!r}")
         total = total + Polynomial(dim, {tuple(exps): coeff})
     return total
 

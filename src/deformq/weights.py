@@ -91,7 +91,7 @@ from deformq.graphs import (
     orbit,
 )
 from deformq.record import Frozen
-from deformq.table import MAX_SAMPLES, WeightTable
+from deformq.table import MAX_SAMPLES, WeightEntry, WeightTable
 
 TWO_PI = 2.0 * math.pi
 CHUNK = 1 << 16
@@ -625,15 +625,17 @@ def estimate_and_snap(
     initial_samples: int = 1_000_000,
     max_samples: int = MAX_SAMPLES,
     memo: dict | None = None,
+    entry: WeightEntry | None = None,
 ) -> tuple[WeightEstimate, Fraction | None]:
-    """Estimate with quadrupling sample counts until snapping is unambiguous
-    or a round of max_samples has run.
-
-    A graph whose weight a rule fixes (weight_rule) returns it directly.  Any other graph
-    is estimated through its orbit representative (over relabelling, star
-    reordering and the mirror), with the stream key graph_seed(seed,
-    representative id), and the result comes back under g's id with the
-    orbit sign applied to the mean and the snapped value.
+    """g's weight and its snapped value, decided in this order: a rule
+    (weight_rule) fixes it; else `entry`, g's stored table entry, if it ran
+    to max_samples on the stream this call would use, is snapped again, as a
+    new run would only reproduce it; else g is estimated through its orbit
+    representative (over relabelling, star reordering and the mirror) with
+    the stream key graph_seed(seed, representative id), in quadrupling
+    sample counts until snapping is unambiguous or a round of max_samples
+    has run, and the result comes back under g's id with the orbit sign
+    applied to the mean and the snapped value.
     Callers passing the same `memo` dict (with the same other arguments)
     estimate each orbit once.  A Monte-Carlo estimate must have a positive
     spread: snap raises ValueError otherwise.
@@ -644,9 +646,14 @@ def estimate_and_snap(
         return weight_mc(g, initial_samples, graph_seed(seed, gid)), rule[1]
     rep, sign = orbit(g, mirror=True)
     rid = canonical_id(rep)
+    rseed = graph_seed(seed, rid)
+    capped = entry is not None and entry.samples >= max_samples
+    if capped and entry.stderr > 0 and entry.seed == rseed:
+        est = WeightEstimate(gid, entry.mean, entry.stderr, entry.samples, rseed)
+        return est, snap(est, max_denominator)
     memo = {} if memo is None else memo
     if rid not in memo:
-        samples, rseed = initial_samples, graph_seed(seed, rid)
+        samples = initial_samples
         while True:
             est = weight_mc(rep, samples, rseed)
             snapped = snap(est, max_denominator)
@@ -669,31 +676,17 @@ def build_weight_table(
     table: WeightTable | None = None,
     max_samples: int = MAX_SAMPLES,
 ) -> WeightTable:
-    """Snapped weights for the given graphs; existing snapped entries are kept.
-
-    An unsnapped entry that ran to max_samples on the stream this call would
-    use is snapped again from its stored estimate, which a new run would
-    only reproduce.  Each orbit is estimated at most once per call; every
-    requested graph gets its own entry under its labelled id."""
+    """`table` with each of `graphs` that lacks a snapped entry given its own
+    entry, under its labelled id, by estimate_and_snap from its stored one;
+    existing snapped entries are kept.  Each orbit is estimated at most once
+    per call."""
     table = table if table is not None else WeightTable()
     memo: dict = {}
     for g in graphs:
-        gid = canonical_id(g)
-        e = table.get(gid)
-        if e is not None and e.snapped is not None:
-            continue
-        if (
-            e is not None
-            and e.samples >= max_samples
-            and e.stderr > 0
-            and weight_rule(g) is None
-            and e.seed == graph_seed(seed, canonical_id(orbit(g, mirror=True)[0]))
-        ):
-            est = WeightEstimate(gid, e.mean, e.stderr, e.samples, e.seed)
-            table.put(est, snap(est, max_denominator))
-            continue
-        est, snapped = estimate_and_snap(
-            g, seed, max_denominator, initial_samples, max_samples, memo
-        )
-        table.put(est, snapped)
+        e = table.get(canonical_id(g))
+        if e is None or e.snapped is None:
+            est, snapped = estimate_and_snap(
+                g, seed, max_denominator, initial_samples, max_samples, memo, e
+            )
+            table.put(est, snapped)
     return table

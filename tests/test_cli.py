@@ -555,6 +555,38 @@ def test_star_rejects_a_trailing_sign(capsys, so3_file, cache_arg, f):
     assert "dangling sign" in captured.err
 
 
+def test_star_refuses_a_sign_alone(capsys, so3_file, cache_arg):
+    code = main(["star", "--pi", so3_file, "--f", "+", "--g", "x2"] + cache_arg)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: no terms in '+'\n"
+
+
+# Arabic-Indic digits: x1 + 3/2 x2 and the graph id 1;2;[b1,b2]
+NON_ASCII_POLY = "x\u0661 + \u0663/\u0662 x2"
+
+
+@pytest.mark.parametrize(
+    "where", ["f", "poisson-file", "graph-count", "graph-label"]
+)
+def test_digits_other_than_ascii_are_usage_errors(capsys, tmp_path, cache_arg, where):
+    path = tmp_path / "pi.json"
+    pi12 = NON_ASCII_POLY if where == "poisson-file" else "x3"
+    components = {"1,2": pi12, "1,3": "-x2", "2,3": "x1"}
+    path.write_text(json.dumps({"dim": 3, "components": components}))
+    if where in ("f", "poisson-file"):
+        f = NON_ASCII_POLY if where == "f" else "x1"
+        argv = ["star", "--pi", str(path), "--f", f, "--g", "x2"] + cache_arg
+    else:
+        gid = "\u0661;2;[b1,b2]" if where == "graph-count" else "1;2;[b\u0661,b2]"
+        argv = ["weight", "--graph", gid, "--cache", str(tmp_path / "w.json")]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "w.json").exists()
+
+
 @pytest.mark.parametrize("order", ["4", "40"])
 @pytest.mark.parametrize("mode", ["table", "mc"])
 @pytest.mark.parametrize(
@@ -1410,10 +1442,45 @@ def test_warm_star_and_check_assoc_import_only_the_code_they_run(
         " 'concurrent.futures.process', 'deformq.weights',"
         " 'deformq.closedform', 'deformq.suites')),"
         " file=sys.stderr)\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'deformq'))\n"
     )
     proc = _deformq_subprocess(script, so3_file, weight_cache_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == " ".join(["False"] * 10) + "\n"
+    # every warm request compiles these afresh when no bytecode is cached
+    warm = ["cli", "graphs", "operators", "polyalg", "record", "starprod", "table"]
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == ["deformq", *(f"deformq.{m}" for m in warm)]
+
+
+def test_a_fully_cached_order_three_star_loads_no_monte_carlo_code(
+    tmp_path, so3_file, weight_cache_path
+):
+    # synthetic snapped entries for the order-3 representatives the cache
+    # lacks (8 that no rule fixes, 2 that one does): nothing to fill
+    entries = json.loads(Path(weight_cache_path).read_text())
+    classes = starprod.star_classes(load_poisson(so3_file), 3)
+    reps = {canonical_id(gs[0][0]) for row in classes for _, gs in row}
+    added = sorted(reps - set(entries))
+    assert len(added) == 10 and all(gid.startswith("3;") for gid in added)
+    for gid in added:
+        entries[gid] = {
+            "mean": 0.0, "stderr": 0.0, "samples": 1, "seed": 0, "snapped": "0",
+        }
+    cache = tmp_path / "order3.json"
+    cache.write_text(json.dumps(entries))
+    before = cache.read_bytes()
+    script = (
+        "import sys; from deformq.cli import main; code = main(sys.argv[1:]);"
+        " print('deformq.weights' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    proc = _deformq_subprocess(
+        script, "star", "--pi", so3_file, "--f", "x1", "--g", "x2",
+        "--order", "3", "--cache", str(cache),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
+    assert json.loads(proc.stdout)["order"] == 3
+    assert cache.read_bytes() == before
 
 
 def test_star_estimates_a_weight_the_cache_lacks(tmp_path, so3_file, weight_cache_path):

@@ -136,6 +136,8 @@ def test_parse_rejects_malformed():
         "2;2;[2,b1],,[b1,b2]",
         "1;2;[-1,-2]",  # b1, b2 written as their integer codes
         "1;2;[b1,b_2]",
+        "\u0661;2;[b1,b2]",  # an Arabic-Indic 1, which int() reads as 1
+        "1;2;[b\u0661,b2]",
     ],
 )
 def test_parse_rejects_text_canonical_id_never_writes(text):

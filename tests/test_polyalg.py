@@ -172,6 +172,21 @@ def test_parse_rejects_a_dangling_sign(text):
         parse_polynomial(text, 2)
 
 
+@pytest.mark.parametrize("text", ["+", "-"])
+def test_parse_refuses_a_sign_alone(text):
+    with pytest.raises(ValueError, match="no terms in"):
+        parse_polynomial(text, 2)
+    with pytest.raises(ValueError, match="dangling sign"):
+        parse_polynomial(f"{text} {text}", 2)
+
+
+# Arabic-Indic digits, which Python's \d, int and Fraction all read
+@pytest.mark.parametrize("text", ["x\u0661 + \u0663/\u0662 x2", "x1^\u0662", "\u0663"])
+def test_parse_refuses_digits_other_than_ascii(text):
+    with pytest.raises(ValueError, match="bad factor"):
+        parse_polynomial(text, 2)
+
+
 # ---------------------------------------------------------------------------
 # Schouten bracket
 # ---------------------------------------------------------------------------

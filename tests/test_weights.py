@@ -760,6 +760,57 @@ def test_estimate_and_snap_stops_escalating_at_the_cap(monkeypatch):
     assert (est.samples, val) == (weights.MAX_SAMPLES, None)
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("an entry estimated to the cap must not be sampled again")
+
+
+def test_a_capped_member_entry_snaps_again_under_its_own_id(monkeypatch):
+    # the member is the representative's mirror with its second star
+    # swapped: its stored mean carries the orbit sign, +1/12
+    rep, member = "2;2;[2,b1],[b1,b2]", "2;2;[2,b2],[b1,b2]"
+    assert orbit(parse_id(member), mirror=True) == (parse_id(rep), -1)
+    monkeypatch.setattr(weights, "_sample_weight", _no_sampling)
+    stored = WeightEntry(1 / 12, 1e-4, weights.MAX_SAMPLES, graph_seed(7, rep), None)
+    est, val = estimate_and_snap(parse_id(member), 7, entry=stored)
+    assert est == WeightEstimate(member, 1 / 12, 1e-4, weights.MAX_SAMPLES, stored.seed)
+    assert val == Fraction(1, 12)
+    table = WeightTable({member: stored})
+    build_weight_table([parse_id(member)], seed=7, table=table)
+    assert list(table.entries) == [member]
+    assert table.get(member).to_json() == {**stored.to_json(), "snapped": "1/12"}
+
+
+def test_a_capped_entry_on_another_stream_is_estimated_again(monkeypatch):
+    # keyed by the member's own id, not its representative's: a new run
+    # draws other samples, so the entry is no estimate this call would make
+    rep, member = "2;2;[2,b1],[b1,b2]", "2;2;[2,b2],[b1,b2]"
+    rounds = []
+
+    def stub(g, samples, seed, boundary_points):
+        rounds.append((canonical_id(g), samples, seed))
+        return WeightEstimate(canonical_id(g), -1 / 12, 1e-4, samples, seed)
+
+    monkeypatch.setattr(weights, "_sample_weight", stub)
+    stored = WeightEntry(1 / 12, 1e-4, weights.MAX_SAMPLES, graph_seed(7, member), None)
+    est, val = estimate_and_snap(parse_id(member), 7, entry=stored)
+    assert rounds == [(rep, 1_000_000, graph_seed(7, rep))]
+    assert (est.samples, val) == (1_000_000, Fraction(1, 12))
+
+
+def test_a_rule_fixed_graph_with_a_capped_entry_gets_the_rules_value(monkeypatch):
+    # no edge reaches b2: the rule's 0, not a snap of the stored mean
+    gid = "2;2;[2,b1],[1,b1]"
+    g = parse_id(gid)
+    assert weight_rule(g) == ("unreached boundary", Fraction(0))
+    monkeypatch.setattr(weights, "_sample_weight", _no_sampling)
+    rseed = graph_seed(7, canonical_id(orbit(g, mirror=True)[0]))
+    stored = WeightEntry(-1 / 12, 1e-4, weights.MAX_SAMPLES, rseed, None)
+    est, val = estimate_and_snap(g, 7, entry=stored)
+    assert (est.mean, est.stderr, val) == (0.0, 0.0, Fraction(0))
+    table = build_weight_table([g], seed=7, table=WeightTable({gid: stored}))
+    assert table.exact(gid) == Fraction(0) and table.get(gid).stderr == 0.0
+
+
 def test_order_two_table_rederived_from_empty_cache():
     # the whole order-2 table from scratch: three Monte-Carlo orbits at 1M
     # samples must reproduce every committed snapped value
