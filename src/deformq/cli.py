@@ -23,6 +23,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -109,8 +110,9 @@ def load_poisson(path: str) -> PolyVector:
             raise ValueError(f"dim must be an integer >= 1, not {dim!r}")
         comps = {}
         for key, text in data.get("components", {}).items():
-            i_str, j_str = key.split(",")
-            i, j = int(i_str), int(j_str)
+            if not re.fullmatch(r"[0-9]+, ?[0-9]+", key):
+                raise ValueError(f"component key {key!r} is not i,j in digits 0-9")
+            i, j = map(int, key.split(","))
             if not 1 <= i < j <= dim:
                 raise ValueError(f"component key {key!r} must satisfy 1 <= i < j <= dim")
             if (i, j) in comps:
@@ -253,7 +255,7 @@ def cmd_graphs(args) -> int:
         raise UsageError(
             f"--n {args.n} has {count} labelled graphs, more than {MAX_GRAPHS}"
         )
-    graphs = enumerate_graphs(args.n, args.nbar, 2)
+    graphs = enumerate_graphs(args.n, args.nbar)
     ids = [canonical_id(g) for g in graphs]
     flag = all(g.has_required_edge_count() for g in graphs)
     _emit(

@@ -65,27 +65,38 @@ def is_admissible(g: AdmissibleGraph) -> bool:
     return True
 
 
-def enumerate_graphs(n: int, nbar: int, out_degree: int) -> list[AdmissibleGraph]:
-    """All labeled admissible graphs with exactly out_degree ordered edges
-    per aerial vertex, in lexicographic order (aerial targets first, then
-    boundary targets).  Parallel edges are permitted; short loops are not.
+def enumerate_graphs(
+    n: int, nbar: int, *, top_degree: int | None = None
+) -> list[AdmissibleGraph]:
+    """All labeled admissible graphs with two ordered edges per aerial
+    vertex, in lexicographic order (aerial targets first, then boundary
+    targets).  Parallel edges are permitted; short loops are not.
+
+    Given top_degree, only those whose B_Gamma on bivectors of that top
+    polynomial degree can be nonzero: no star repeats a target
+    (has_repeated_edge) and no aerial vertex is hit by more than top_degree
+    edges, each of which differentiates its bivector.  A partial graph that
+    breaks either is never extended.
     """
     if n < 0 or nbar < 0 or 2 * n + nbar - 2 < 0:
         raise ValueError("invalid vertex counts")
-    if out_degree < 0:
-        raise ValueError("invalid out degree")
-    all_graphs = []
-    per_vertex = []
+    partial = [((), (0,) * n)]  # (stars so far, in-degree of each aerial vertex)
     for v in range(1, n + 1):
         targets = [k for k in range(1, n + 1) if k != v]
         targets += [boundary(k) for k in range(1, nbar + 1)]
-        stars = list(itertools.product(targets, repeat=out_degree))
-        if not stars:
-            return []
-        per_vertex.append(stars)
-    for combo in itertools.product(*per_vertex):
-        all_graphs.append(AdmissibleGraph(n, nbar, tuple(combo)))
-    return all_graphs
+        stars = itertools.product(targets, repeat=2)
+        stars = [s for s in stars if top_degree is None or s[0] != s[1]]
+        extended = []
+        for prefix, hits in partial:
+            for s in stars:
+                after = hits
+                if top_degree is not None:
+                    after = [c + s.count(k) for k, c in enumerate(hits, 1)]
+                    if max(after) > top_degree:
+                        continue
+                extended.append((prefix + (s,), after))
+        partial = extended
+    return [AdmissibleGraph(n, nbar, stars) for stars, _ in partial]
 
 
 def _target_order(t: Target) -> tuple[bool, int]:
@@ -108,8 +119,9 @@ def _order_key(g: AdmissibleGraph) -> tuple:
 
 # one cache for the operators, the weight rules and the estimates: a scan
 # runs 2 n! relabellings (0.17 s at n = 7).  Unbounded, so that an order-3
-# assembly keeps all 1 728 of its scans; a CLI run, refused above order 2,
-# adds at most the graphs up to order 2, or a `weight` graph and its
+# assembly keeps all 1 728 of its scans; a CLI run, refused above order 3,
+# adds at most the graphs its pi reads up to order 3 (640 at order 3 for an
+# affine pi, 1 728 for a quadratic one), or a `weight` graph and its
 # representative
 @functools.cache
 def orbit(g: AdmissibleGraph, mirror: bool = False) -> tuple[AdmissibleGraph, int]:

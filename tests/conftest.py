@@ -18,7 +18,7 @@ def weight_table():
         table = WeightTable.load(CACHE)
         if all(e.snapped is not None for e in table.entries.values()):
             return table
-    graphs = [g for n in (1, 2) for g in enumerate_graphs(n, 2, 2)]
+    graphs = [g for n in (1, 2) for g in enumerate_graphs(n, 2)]
     table = build_weight_table(graphs, seed=TABLE_SEED)
     unsnapped = [gid for gid, e in table.entries.items() if e.snapped is None]
     if unsnapped:

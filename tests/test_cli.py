@@ -781,6 +781,27 @@ def test_order_three_refused_before_any_work(
     assert len({orbit(g, mirror=True)[0] for g in named}) == 5
 
 
+def test_star_order_three_on_so3_enumerates_only_the_graphs_it_reads(
+    monkeypatch, capsys, so3_file, cache_arg
+):
+    # so(3) is linear, so a graph with a repeated target or an aerial vertex
+    # hit twice has B_Gamma = 0: 640 of the 4 096 order-3 graphs are built
+    counts = {}
+    real = starprod.enumerate_graphs
+
+    def counting(n, *args, **kwargs):
+        out = real(n, *args, **kwargs)
+        counts[n] = counts.get(n, 0) + len(out)
+        return out
+
+    monkeypatch.setattr(starprod, "enumerate_graphs", counting)
+    argv = ["star", "--pi", so3_file, "--f", "x1", "--g", "x2", "--order", "3"]
+    # the cache holds no order-3 weight, so the request is refused
+    assert main(argv + cache_arg) == 2
+    assert capsys.readouterr().out == ""
+    assert counts[3] == 640
+
+
 def test_mc_samples_guard(so3_file):
     code = main(
         ["star", "--pi", so3_file, "--f", "x1", "--g", "x2",
@@ -1001,6 +1022,26 @@ def test_poisson_repeated_component_is_usage_error(capsys, tmp_path, cache_arg):
         assert out == ""
         assert err == (
             f"error: malformed poisson file {path}: component (1, 2) is given twice\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "key", ["\u0661,2", " 1 , 2 ", "+1,2", "1,0_2"],
+    ids=["arabic-indic-digit", "spaces", "sign", "underscore"],
+)
+def test_poisson_component_key_is_ascii_digits(capsys, tmp_path, cache_arg, key):
+    # int() reads each of these keys as 1 and 2
+    path = tmp_path / "pi.json"
+    components = {key: "x3", "1,3": "-x2", "2,3": "x1"}
+    path.write_text(json.dumps({"dim": 3, "components": components}))
+    star = ["star", "--pi", str(path), "--f", "x1", "--g", "x2", *cache_arg]
+    for argv in (["check", "jacobi", "--pi", str(path)], star):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: malformed poisson file {path}: "
+            f"component key {key!r} is not i,j in digits 0-9\n"
         )
 
 

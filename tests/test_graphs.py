@@ -48,13 +48,13 @@ def test_vertex_count_inequality():
 
 
 def test_enumerate_one_vertex():
-    got = enumerate_graphs(1, 2, 2)
+    got = enumerate_graphs(1, 2)
     stars = [g.stars for g in got]
     assert stars == [((b1, b1),), ((b1, b2),), ((b2, b1),), ((b2, b2),)]
 
 
 def test_enumerate_empty_graph():
-    got = enumerate_graphs(0, 2, 2)
+    got = enumerate_graphs(0, 2)
     assert got == [AdmissibleGraph(0, 2, ())]
     assert got[0].has_required_edge_count()
 
@@ -72,7 +72,7 @@ def test_enumerate_against_exhaustive_oracle():
             g = AdmissibleGraph(n, nbar, stars)
             if is_admissible(g):
                 oracle.append(g)
-        got = enumerate_graphs(n, nbar, 2)
+        got = enumerate_graphs(n, nbar)
         assert sorted(canonical_id(g) for g in got) == sorted(
             canonical_id(g) for g in oracle
         )
@@ -80,18 +80,43 @@ def test_enumerate_against_exhaustive_oracle():
 
 
 def test_enumerate_no_duplicates_all_admissible():
-    got = enumerate_graphs(2, 2, 2)
+    got = enumerate_graphs(2, 2)
     ids = [canonical_id(g) for g in got]
     assert len(set(ids)) == len(ids)
     assert all(is_admissible(g) for g in got)
     assert len(got) == 81
 
 
+def _vanishes_on_bivectors(g, top_degree):
+    """B_Gamma(pi, ..., pi) = 0 for every bivector pi of this top polynomial
+    degree: a star repeats a target, or an aerial vertex is hit by more
+    edges than top_degree."""
+    in_degree = [0] * g.n
+    for _, t in g.edges():
+        if not is_boundary(t):
+            in_degree[t - 1] += 1
+    return has_repeated_edge(g) or any(k > top_degree for k in in_degree)
+
+
+@pytest.mark.parametrize("top_degree", [-1, 0, 1, 2, 3])
+def test_enumerate_bounded_by_top_degree_is_the_filtered_enumeration(top_degree):
+    # graph for graph and in the same order
+    for n in (0, 1, 2, 3):
+        want = [g for g in enumerate_graphs(n, 2) if not _vanishes_on_bivectors(g, top_degree)]
+        assert enumerate_graphs(n, 2, top_degree=top_degree) == want
+
+
+def test_enumerate_bounded_at_order_four():
+    # against 390 625 unbounded
+    assert len(enumerate_graphs(4, 2, top_degree=0)) == 16
+    assert len(enumerate_graphs(4, 2, top_degree=1)) == 16_400
+
+
 def test_enumerate_rejects_bad_counts():
     with pytest.raises(ValueError):
-        enumerate_graphs(0, 1, 2)
+        enumerate_graphs(0, 1)
     with pytest.raises(ValueError):
-        enumerate_graphs(-1, 2, 2)
+        enumerate_graphs(-1, 2)
 
 
 def test_canonical_id_format():
@@ -101,7 +126,7 @@ def test_canonical_id_format():
 
 
 def test_id_round_trip():
-    for g in enumerate_graphs(2, 2, 2):
+    for g in enumerate_graphs(2, 2):
         assert parse_id(canonical_id(g)) == g
     assert parse_id("0;2;") == AdmissibleGraph(0, 2, ())
     assert parse_id("1;2;[ b1, b2 ]") == wedge()
@@ -146,7 +171,7 @@ def test_parse_rejects_text_canonical_id_never_writes(text):
 
 
 def test_orbit_is_constant_on_orbits():
-    graphs = enumerate_graphs(2, 2, 2)
+    graphs = enumerate_graphs(2, 2)
     reps = {}
     for g in graphs:
         rep, sign = orbit(g)
@@ -227,7 +252,7 @@ def _jacobian_row_images(g):
 
 
 def _graphs_without_repeated_edges(order):
-    return [g for g in enumerate_graphs(order, 2, 2) if not has_repeated_edge(g)]
+    return [g for g in enumerate_graphs(order, 2) if not has_repeated_edge(g)]
 
 
 def _two_vertex_graphs():
@@ -267,4 +292,4 @@ def test_has_repeated_edge():
     assert has_repeated_edge(AdmissibleGraph(1, 2, ((b1, b1),)))
     assert has_repeated_edge(AdmissibleGraph(2, 2, ((b1, b2), (b2, b1, b2))))
     assert not has_repeated_edge(AdmissibleGraph(2, 2, ((2, b1), (b1, b2))))
-    assert sum(map(has_repeated_edge, enumerate_graphs(2, 2, 2))) == 81 - 36
+    assert sum(map(has_repeated_edge, enumerate_graphs(2, 2))) == 81 - 36

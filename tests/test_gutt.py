@@ -176,7 +176,7 @@ def _doubled_class(table: WeightTable, gid: str) -> WeightTable:
     members share one operator in the star series."""
     rep = orbit(parse_id(gid))[0]
     entries = dict(table.entries)
-    for g in enumerate_graphs(rep.n, 2, 2):
+    for g in enumerate_graphs(rep.n, 2):
         if orbit(g)[0] == rep:
             e = entries[canonical_id(g)]
             entries[canonical_id(g)] = WeightEntry(

@@ -322,7 +322,7 @@ STRUCTURES = {
 def test_graph_operators_match_reference(name, n):
     pi = STRUCTURES[name]
     assert jacobiator(pi).is_zero
-    graphs = enumerate_graphs(n, 2, 2)
+    graphs = enumerate_graphs(n, 2)
     assert graph_operators(pi, n) == _reference_operators(pi, graphs)
 
 
@@ -331,7 +331,7 @@ def test_order_three_graph_operators_match_reference():
     rng = random.Random(3)
     for pi in (so3_bivector(), STRUCTURES["plane-quadratic"]):
         ops = dict(graph_operators(pi, 3))
-        for g in rng.sample(enumerate_graphs(3, 2, 2), 50):
+        for g in rng.sample(enumerate_graphs(3, 2), 50):
             ref = _b_gamma_reference(g, [pi] * 3, pi.dim)
             assert ops.get(g, MultiDiffOp.zero(pi.dim, 2)) == ref
 
@@ -358,7 +358,7 @@ def test_orbit_sign_law():
 def test_classes_with_an_odd_symmetry_are_never_built(monkeypatch):
     # a graph with a symmetry of sign -1 has B = -B = 0, so orbit sign 0
     # classes are skipped: 38 operators built at order 3, not 44
-    odd = {rep for rep, sign in map(orbit, enumerate_graphs(3, 2, 2)) if sign == 0}
+    odd = {rep for rep, sign in map(orbit, enumerate_graphs(3, 2)) if sign == 0}
     assert odd
     pi = STRUCTURES["plane-quadratic"]
     for structure in (so3_bivector(), pi):

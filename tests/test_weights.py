@@ -528,7 +528,7 @@ CACHE = Path(__file__).parent / ".weight_cache.json"
 
 def _order_two_table_graphs():
     """Every graph the committed cache holds: orders 1 and 2."""
-    return [g for n in (1, 2) for g in enumerate_graphs(n, 2, 2)]
+    return [g for n in (1, 2) for g in enumerate_graphs(n, 2)]
 
 
 NOISE_ZERO_ORBITS = ("2;2;[2,b1],[1,b1]", "2;2;[2,b2],[1,b2]")
@@ -562,7 +562,7 @@ def _integrand_sizes(ids, n=2, seed=2024, count=1000):
 
 def test_unreached_boundary_vertex_integrand_vanishes():
     members = [
-        canonical_id(g) for g in enumerate_graphs(2, 2, 2)
+        canonical_id(g) for g in enumerate_graphs(2, 2)
         if canonical_id(orbit(g, mirror=True)[0]) in NOISE_ZERO_ORBITS
     ]
     assert len(members) == 8
@@ -880,7 +880,7 @@ def _integrand_graphs(order):
     """The graphs with exactly `order` aerial vertices and two edges per
     vertex whose weight no support rule fixes."""
     return [
-        g for g in enumerate_graphs(order, 2, 2)
+        g for g in enumerate_graphs(order, 2)
         if _rule_name(g) not in SUPPORT_RULES
     ]
 
