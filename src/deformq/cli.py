@@ -9,10 +9,11 @@ the options it reads (argparse refuses any other, exit 2), each default set
 once in an `_add_*` helper.  `weight`, `star` and `check assoc` (alias `assoc`)
 check the weight options (`_weight_cache`) and get their weights from
 `_weight_table`, which in table mode reads a snapped weight, never re-samples
-it; every command that reads `--order` refuses a negative one (`_order`).
-`star` and `check assoc` fill only the class representatives they read
-(`_star_table`).  A warm `star` or `check assoc` (every weight it needs
-snapped in the cache) imports only the modules whose code it runs.  The
+it, and snaps a new one at the bound its graph's order sets (no option does:
+`weights.snap_bound`); every command that reads `--order` refuses a negative
+one (`_order`).  `star` and `check assoc` fill only the class representatives
+they read (`_star_table`).  A warm `star` or `check assoc` (every weight it
+needs snapped in the cache) imports only the modules whose code it runs.  The
 Monte-Carlo estimation (`weights`), the closed forms (`closedform`) and the
 randomised suites (`suites`) are imported inside the handlers that use them.
 """
@@ -89,8 +90,6 @@ def _weight_cache(args) -> Path:
     if not 0 <= args.seed < 1 << 32:
         # graph_seed puts the seed in the high half of a 64-bit stream key
         raise UsageError("--seed must be in [0, 2**32)")
-    if args.max_denominator < 1:
-        raise UsageError("--max-denominator must be at least 1")
     return Path(args.cache or os.environ.get(ENV_CACHE) or DEFAULT_CACHE)
 
 
@@ -172,7 +171,6 @@ def _weight_table(
         table = build_weight_table(
             need,
             seed=args.seed,
-            max_denominator=args.max_denominator,
             initial_samples=args.samples,
             table=table,
             max_samples=args.samples if mc else MAX_SAMPLES,
@@ -402,7 +400,6 @@ def _add_weight_options(sp):
     sp.add_argument("--samples", type=int, default=1_000_000)
     _add_seed(sp)
     sp.add_argument("--weights", choices=("table", "mc"), default="table")
-    sp.add_argument("--max-denominator", dest="max_denominator", type=int, default=24)
     sp.add_argument("--cache", default=None)
 
 

@@ -43,11 +43,11 @@ class WeightEntry(Frozen):
         if stderr < 0:
             raise ValueError(f"negative stderr {stderr!r}")
         return WeightEntry(
-            mean=_finite(data["mean"]),
-            stderr=stderr,
-            samples=_typed(data["samples"], int),
-            seed=_typed(data["seed"], int),
-            snapped=Fraction(_typed(snapped, str)) if snapped is not None else None,
+            _finite(data["mean"]),
+            stderr,
+            _typed(data["samples"], int),
+            _typed(data["seed"], int),
+            Fraction(_typed(snapped, str)) if snapped is not None else None,
         )
 
 

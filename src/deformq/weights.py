@@ -576,6 +576,12 @@ def _sample_weight(
 # ---------------------------------------------------------------------------
 
 
+def snap_bound(n: int) -> int:
+    """The largest denominator a weight with n aerial vertices snaps to: every
+    known order-2 denominator divides 24, and every solved order-3 one 48."""
+    return 24 if n <= 2 else 48
+
+
 def snap(est: WeightEstimate, max_denominator: int) -> Fraction | None:
     """The unique rational p/q, q <= max_denominator, within 3 stderr of the
     mean, or None when zero or several candidates lie in the band."""
@@ -621,21 +627,20 @@ def graph_seed(base_seed: int, gid: str) -> int:
 def estimate_and_snap(
     g: AdmissibleGraph,
     seed: int,
-    max_denominator: int = 24,
     initial_samples: int = 1_000_000,
     max_samples: int = MAX_SAMPLES,
     memo: dict | None = None,
     entry: WeightEntry | None = None,
 ) -> tuple[WeightEstimate, Fraction | None]:
-    """g's weight and its snapped value, decided in this order: a rule
-    (weight_rule) fixes it; else `entry`, g's stored table entry, if it ran
-    to max_samples on the stream this call would use, is snapped again, as a
-    new run would only reproduce it; else g is estimated through its orbit
-    representative (over relabelling, star reordering and the mirror) with
-    the stream key graph_seed(seed, representative id), in quadrupling
-    sample counts until snapping is unambiguous or a round of max_samples
-    has run, and the result comes back under g's id with the orbit sign
-    applied to the mean and the snapped value.
+    """g's weight and its snapped value, whose denominator is at most
+    snap_bound(g.n), decided in this order: a rule (weight_rule) fixes it; else
+    `entry`, g's stored table entry, if it ran to max_samples on the stream
+    this call would use, is snapped again, as a new run would only reproduce
+    it; else g is estimated through its orbit representative (over relabelling,
+    star reordering and the mirror) with the stream key graph_seed(seed,
+    representative id), in quadrupling sample counts until snapping is
+    unambiguous or a round of max_samples has run, and the result comes back
+    under g's id with the orbit sign applied to the mean and the snapped value.
     Callers passing the same `memo` dict (with the same other arguments)
     estimate each orbit once.  A Monte-Carlo estimate must have a positive
     spread: snap raises ValueError otherwise.
@@ -650,13 +655,13 @@ def estimate_and_snap(
     capped = entry is not None and entry.samples >= max_samples
     if capped and entry.stderr > 0 and entry.seed == rseed:
         est = WeightEstimate(gid, entry.mean, entry.stderr, entry.samples, rseed)
-        return est, snap(est, max_denominator)
+        return est, snap(est, snap_bound(g.n))
     memo = {} if memo is None else memo
     if rid not in memo:
         samples = initial_samples
         while True:
             est = weight_mc(rep, samples, rseed)
-            snapped = snap(est, max_denominator)
+            snapped = snap(est, snap_bound(g.n))
             if snapped is not None or samples >= max_samples:
                 break
             samples = min(4 * samples, max_samples)
@@ -671,7 +676,6 @@ def estimate_and_snap(
 def build_weight_table(
     graphs,
     seed: int,
-    max_denominator: int = 24,
     initial_samples: int = 1_000_000,
     table: WeightTable | None = None,
     max_samples: int = MAX_SAMPLES,
@@ -685,8 +689,5 @@ def build_weight_table(
     for g in graphs:
         e = table.get(canonical_id(g))
         if e is None or e.snapped is None:
-            est, snapped = estimate_and_snap(
-                g, seed, max_denominator, initial_samples, max_samples, memo, e
-            )
-            table.put(est, snapped)
+            table.put(*estimate_and_snap(g, seed, initial_samples, max_samples, memo, e))
     return table

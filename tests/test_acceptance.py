@@ -191,7 +191,7 @@ def test_criterion_4_order_one_kontsevich(weight_table):
 
 
 def test_criterion_5_order_two_matches_moyal(weight_table):
-    # snapped at max_denominator 24 from runs of at least 10^6 samples
+    # snapped at weights.snap_bound(2) = 24 from runs of at least 10^6 samples
     for gid, entry in weight_table.entries.items():
         assert entry.snapped is not None, f"{gid} failed to snap uniquely"
         assert entry.snapped.denominator <= 24

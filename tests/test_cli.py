@@ -189,15 +189,15 @@ def test_weight_mc_mode_leaves_the_cache_untouched(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "options",
-    [[], ["--max-denominator", "5", "--samples", "10000"]],
-    ids=["defaults", "never-snapping-sampler"],
+    [[], ["--samples", "10000", "--seed", "3"]],
+    ids=["defaults", "other-samples-seed"],
 )
 def test_weight_reads_a_snapped_entry_without_sampling_or_writing(
     monkeypatch, capsys, tmp_path, options
 ):
-    # table mode serves the cached snapped value; with --max-denominator 5,
-    # under which -1/12 has no candidate, a re-estimate would escalate to
-    # MAX_SAMPLES and save "snapped": null over it
+    # table mode serves the cached snapped value whatever the sampling
+    # options; a re-estimate at seed 3 would draw another stream and save
+    # another entry over it
     def no_sampling(*args, **kwargs):
         raise AssertionError("a snapped entry must not be re-sampled")
 
@@ -252,23 +252,6 @@ def _forbid_monte_carlo(monkeypatch):
         raise AssertionError("the request must be refused before Monte Carlo")
 
     monkeypatch.setattr(weights, "weight_mc", no_work)
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_max_denominator_below_one_refused_before_any_work(
-    monkeypatch, capsys, tmp_path, value
-):
-    # no rational has a denominator below 1, so snapping could never succeed
-    # and table mode would escalate to MAX_SAMPLES
-    _forbid_monte_carlo(monkeypatch)
-    cache = tmp_path / "w.json"
-    code = main(
-        ["weight", "--graph", "1;2;[b1,b2]", "--samples", "10000",
-         "--max-denominator", value, "--cache", str(cache)]
-    )
-    assert code == 2
-    assert "--max-denominator" in capsys.readouterr().err
-    assert not cache.exists()
 
 
 @pytest.mark.parametrize("seed", ["-5", "4294967296", "4294967297"])
@@ -436,9 +419,15 @@ def test_negative_order_refused(capsys, const_pi_file, argv):
     assert "--order must be nonnegative" in captured.err
 
 
-# the options each command does not read: a usage error, never ignored
+# the options each command does not read: a usage error, never ignored;
+# no command reads --max-denominator, as each graph's order sets the snap
+# bound (weights.snap_bound)
 _UNREAD = {
-    "weight": ["--order"],
+    "graphs": ["--max-denominator"],
+    "weight": ["--order", "--max-denominator"],
+    "star": ["--max-denominator"],
+    "check-assoc": ["--max-denominator"],
+    "assoc": ["--max-denominator"],
     "moyal": ["--samples", "--seed", "--weights", "--max-denominator", "--cache"],
     "jacobi": ["--order", "--samples", "--seed", "--weights", "--max-denominator",
                "--cache"],
@@ -457,13 +446,18 @@ def test_options_a_command_does_not_read_are_refused(
     capsys, tmp_path, const_pi_file, command, option
 ):
     argv = {
+        "graphs": ["graphs", "--n", "1", "--nbar", "2"],
         "weight": ["weight", "--graph", "1;2;[b1,b2]"],
+        "star": ["star", "--pi", const_pi_file, "--f", "x1", "--g", "x2"],
+        "check-assoc": ["check", "assoc", "--pi", const_pi_file],
+        "assoc": ["assoc", "--pi", const_pi_file],
         "moyal": ["moyal", "--pi", const_pi_file, "--f", "x1", "--g", "x2"],
         "jacobi": ["check", "jacobi", "--pi", const_pi_file],
         "hochschild": ["check", "hochschild"],
         "wick": ["check", "wick"],
     }[command]
-    # a value each option takes where it is read
+    # a value each option takes where it is read (any number for
+    # --max-denominator, which no command reads)
     value = {
         "--order": "2", "--samples": "10000", "--seed": "7", "--weights": "mc",
         "--max-denominator": "12", "--cache": str(tmp_path / "w.json"),
@@ -1075,7 +1069,6 @@ def test_defaults(monkeypatch, argv):
     assert args.samples == 1_000_000
     assert args.seed == 2024
     assert args.weights == "table"
-    assert args.max_denominator == 24
     assert cli._weight_cache(args) == Path("weights_cache.json")
 
 

@@ -17,6 +17,7 @@ from deformq.graphs import (
     orbit,
     parse_id,
 )
+from deformq.record import Frozen
 from deformq.table import WeightEntry
 from deformq.weights import (
     CHUNK,
@@ -40,6 +41,7 @@ from deformq.weights import (
     estimate_and_snap,
     graph_seed,
     snap,
+    snap_bound,
     weight_mc,
     weight_rule,
 )
@@ -619,6 +621,28 @@ def test_committed_table_is_signed_consistent_on_orbits():
         assert table.exact(gid) == sign * table.exact(canonical_id(rep)), gid
 
 
+def test_every_known_weight_lies_within_the_bound_of_its_order():
+    # the committed table (orders 1 and 2), and the six affine order-3 class
+    # values that associativity fixes (ROADMAP, "Associativity fixes every
+    # affine order-3 weight"), each snapped back from a tight band
+    for gid, entry in WeightTable.load(CACHE).entries.items():
+        assert entry.snapped.denominator <= snap_bound(parse_id(gid).n), gid
+    solved = [Fraction(1, 8), Fraction(-1, 24), Fraction(-1, 48), Fraction(-1, 48), 0, 0]
+    for value in solved:
+        est = WeightEstimate("g", float(value), 1e-4, 1, 1)
+        assert snap(est, snap_bound(3)) == value
+
+
+def test_loading_the_committed_table_binds_no_field_by_keyword(monkeypatch):
+    # each entry is built by position, never through Frozen._bind, which a
+    # warm request would otherwise run 85 times
+    def no_bind(self, args, kwargs):
+        raise AssertionError(f"{type(self).__name__} bound by keyword")
+
+    monkeypatch.setattr(Frozen, "_bind", no_bind)
+    assert len(WeightTable.load(CACHE).entries) == 85
+
+
 def _mirror_id(gid):
     """The id of the graph with b1 and b2 swapped."""
     return gid.replace("b1", "x").replace("b2", "b1").replace("x", "b2")
@@ -755,13 +779,65 @@ def test_estimate_and_snap_stops_escalating_at_the_cap(monkeypatch):
         return WeightEstimate(canonical_id(g), 0.0, 0.5, samples, seed)
 
     monkeypatch.setattr(weights, "_sample_weight", never_snaps)
-    est, val = estimate_and_snap(parse_id("2;2;[2,b1],[b1,b2]"), 7, 24, 10_000)
+    g = parse_id("2;2;[2,b1],[b1,b2]")
+    est, val = estimate_and_snap(g, 7, initial_samples=10_000)
     assert rounds == [10_000 * 4**k for k in range(7)] + [weights.MAX_SAMPLES]
     assert (est.samples, val) == (weights.MAX_SAMPLES, None)
 
 
 def _no_sampling(*args, **kwargs):
     raise AssertionError("an entry estimated to the cap must not be sampled again")
+
+
+# the wheel's order-3 product class, -1/48 (wheel x 1/2), its own representative
+WHEEL_PRODUCT = "3;2;[2,b1],[1,b2],[b1,b2]"
+
+
+def test_snap_bound_follows_the_order():
+    assert [snap_bound(n) for n in range(6)] == [24, 24, 24, 48, 48, 48]
+
+
+def test_an_order_three_weight_snaps_at_its_order_bound(monkeypatch):
+    # -1/48 is the only p/q, q <= 48, within 3e-4; at 24 there is none, and
+    # the rounds would run to the cap
+    rounds = []
+
+    def stub(g, samples, seed, boundary_points):
+        rounds.append(samples)
+        return WeightEstimate(canonical_id(g), -1 / 48, 1e-4, samples, seed)
+
+    monkeypatch.setattr(weights, "_sample_weight", stub)
+    assert orbit(parse_id(WHEEL_PRODUCT), mirror=True) == (parse_id(WHEEL_PRODUCT), 1)
+    est, val = estimate_and_snap(parse_id(WHEEL_PRODUCT), 7)
+    assert rounds == [1_000_000]
+    assert (est.samples, val) == (1_000_000, Fraction(-1, 48))
+
+
+def test_an_order_two_weight_keeps_the_bound_24(monkeypatch):
+    # -1/47 snaps at 48 but has no candidate at 24: the rounds run to the cap
+    rounds = []
+
+    def stub(g, samples, seed, boundary_points):
+        rounds.append(samples)
+        return WeightEstimate(canonical_id(g), -1 / 47, 1e-6, samples, seed)
+
+    monkeypatch.setattr(weights, "_sample_weight", stub)
+    est, val = estimate_and_snap(parse_id("2;2;[2,b1],[b1,b2]"), 7)
+    assert snap(est, 48) == Fraction(-1, 47)
+    assert rounds == [1_000_000, 4_000_000, 16_000_000, weights.MAX_SAMPLES]
+    assert (est.samples, val) == (weights.MAX_SAMPLES, None)
+
+
+def test_a_capped_order_three_entry_snaps_again_at_its_order_bound(monkeypatch):
+    monkeypatch.setattr(weights, "_sample_weight", _no_sampling)
+    stored = WeightEntry(
+        -1 / 48, 1e-4, weights.MAX_SAMPLES, graph_seed(7, WHEEL_PRODUCT), None
+    )
+    est, val = estimate_and_snap(parse_id(WHEEL_PRODUCT), 7, entry=stored)
+    assert (est.mean, est.seed, val) == (-1 / 48, stored.seed, Fraction(-1, 48))
+    table = WeightTable({WHEEL_PRODUCT: stored})
+    build_weight_table([parse_id(WHEEL_PRODUCT)], seed=7, table=table)
+    assert table.get(WHEEL_PRODUCT).to_json() == {**stored.to_json(), "snapped": "-1/48"}
 
 
 def test_a_capped_member_entry_snaps_again_under_its_own_id(monkeypatch):
