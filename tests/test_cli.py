@@ -254,7 +254,26 @@ def _forbid_monte_carlo(monkeypatch):
     monkeypatch.setattr(weights, "weight_mc", no_work)
 
 
-@pytest.mark.parametrize("seed", ["-5", "4294967296", "4294967297"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_denominator_below_one_refused_before_any_work(
+    monkeypatch, capsys, tmp_path, value
+):
+    # no command reads --max-denominator (the graph's order sets the snap
+    # bound), so a bound below 1 is refused as an unknown option, before
+    # any sampling and without writing the cache
+    _forbid_monte_carlo(monkeypatch)
+    cache = tmp_path / "w.json"
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["weight", "--graph", "1;2;[b1,b2]", "--samples", "10000",
+             "--max-denominator", value, "--cache", str(cache)]
+        )
+    assert exc.value.code == 2
+    assert "--max-denominator" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("seed",["-5", "4294967296", "4294967297"])
 @pytest.mark.parametrize(
     "command",
     [["weight", "--graph", "1;2;[b1,b2]"],
