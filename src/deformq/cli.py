@@ -11,7 +11,7 @@ check the weight options (`_weight_cache`) and get their weights from
 `_weight_table`, which in table mode reads a snapped weight, never re-samples
 it, and snaps a new one at the bound its graph's order sets (no option does:
 `weights.snap_bound`); every command that reads `--order` refuses a negative
-one (`_order`).  `star` and `check assoc` fill only the class representatives
+one (`_order`).  `star` and `check assoc` fill only the weight-orbit owners
 they read (`_star_table`).  A warm `star` or `check assoc` (every weight it
 needs snapped in the cache) imports only the modules whose code it runs.  The
 Monte-Carlo estimation (`weights`), the closed forms (`closedform`) and the
@@ -29,7 +29,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from deformq.graphs import canonical_id, enumerate_graphs, parse_id
+from deformq.graphs import canonical_id, enumerate_graphs, orbit, parse_id
 from deformq.operators import apply_op
 from deformq.polyalg import (
     Polynomial,
@@ -188,18 +188,19 @@ def _weight_table(
 def _star_table(
     args, cache: Path, pi: PolyVector, snapped: bool
 ) -> tuple[Classes, WeightTable]:
-    """star_classes(pi, --order) and _weight_table for their representatives,
-    the only graphs a star or check assoc request reads.  Refused: an order
-    above MAX_ORDER before any enumeration, and (by _weight_table) a
-    representative above MAX_SAMPLED_ORDER with no snapped entry and no rule
-    before any fill.  If `snapped`, one that fails to snap is a check
-    failure."""
+    """star_classes(pi, --order) and _weight_table for the owners of their
+    weight orbits (class_rows), the only graphs a star or check assoc request
+    reads.  Refused: an order above MAX_ORDER before any enumeration, and (by
+    _weight_table) an owner above MAX_SAMPLED_ORDER with no snapped entry
+    and no rule before any fill.  If `snapped`, one that fails to snap is a
+    check failure."""
     if args.order > MAX_ORDER:
         raise UsageError(
             f"--order {args.order} is above {MAX_ORDER}, the highest star order"
         )
     classes = star_classes(pi, args.order)
-    graphs = {canonical_id(gs[0][0]): gs[0][0] for row in classes for _, gs in row}
+    owners = (orbit(gs[0][0], mirror=True)[0] for row in classes for _, gs in row)
+    graphs = {canonical_id(g): g for g in owners}
     table = _weight_table(
         args, cache, _load_table(args, cache), graphs, MAX_SAMPLED_ORDER
     )
@@ -336,13 +337,11 @@ def _check_assoc(args) -> dict:
     # mc mode reads every estimate as a band, snapped or not
     classes, table = _star_table(args, cache, pi, snapped=args.weights == "table")
     _warn_if_not_poisson(pi)
-    xs = [Polynomial.var(pi.dim, i) for i in range(1, pi.dim + 1)]
-    triples = list(itertools.product(xs, repeat=3))
     report = {
         "check": "assoc",
         "mode": args.weights,
         "order": order,
-        "triples": len(triples),
+        "triples": pi.dim**3,
     }
     if args.weights == "table":
         weight = point_weights(table)
@@ -351,17 +350,19 @@ def _check_assoc(args) -> dict:
         weight = band_weights(table)
         report["samples"] = args.samples
     bound = associator_bound(class_rows(pi.dim, classes, weight))
-    # apply_op on coordinates is a nonnegative linear map of the coefficients,
-    # so a triple whose applied bound excludes 0 has a nonzero defect
-    report["failures"] = sum(
+    # the triples can miss a defect that acts on second derivatives
+    report["pass"] = all(contains_zero(c, r) for c, r in bound)
+    # apply_op on coordinates is a nonnegative linear map of the coefficients:
+    # a triple whose applied bound excludes 0 has a nonzero defect, and a
+    # passing identity has none
+    xs = [Polynomial.var(pi.dim, i) for i in range(1, pi.dim + 1)]
+    report["failures"] = 0 if report["pass"] else sum(
         not all(
             contains_zero(apply_op(c, list(fgh)), apply_op(r, list(fgh)))
             for c, r in bound
         )
-        for fgh in triples
+        for fgh in itertools.product(xs, repeat=3)
     )
-    # the triples can miss a defect that acts on second derivatives
-    report["pass"] = all(contains_zero(c, r) for c, r in bound)
     return report
 
 

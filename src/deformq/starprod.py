@@ -241,8 +241,8 @@ Classes = list[list[tuple[MultiDiffOp, list[tuple[AdmissibleGraph, int]]]]]
 
 def star_classes(pi: PolyVector, order: int) -> Classes:
     """_class_operators(pi, n) for n = 1..order: every graph the series of
-    pi up to `order` reads a weight for is the representative (first member)
-    of one of these classes."""
+    pi up to `order` reads a weight for is the owner (class_rows) of the
+    weight orbit of one of these classes."""
     if order > MAX_ORDER:
         raise ValueError(f"orders above {MAX_ORDER} are outside the weight table scope")
     return [_class_operators(pi, n) for n in range(1, order + 1)]
@@ -279,25 +279,26 @@ def class_rows(
     one per class c of classes[n - 1] (star_classes); a class whose W_c is
     the point 0 is left out.  Order 0 is the multiplication with weight 1.
 
-    B_c is the representative's operator and W_c = |c| * weight(id of the
-    representative), since every member g has w(g) = sign_g * w(rep) and
-    B(g) = sign_g * B(rep); an interval scales centre and radius alike.
-    Only representatives are read: those without a weight raise
-    MissingWeightError naming each of them.
+    B_c is the representative's operator and W_c = |c| * sign * weight(id
+    of the owner), for (owner, sign) = orbit(rep, mirror=True), since every
+    member g has w(g) = sign_g * w(rep) = sign_g * sign * w(owner) and
+    B(g) = sign_g * B(rep); the sign scales an interval's centre, |c| its
+    centre and radius.  Only owners are read, one entry per weight orbit:
+    those without a weight raise MissingWeightError naming each once.
     """
     out = [[(_UNIT, MultiDiffOp.multiplication(dim))]]
-    missing = []
+    missing = set()
     for n, order_classes in enumerate(classes, 1):
         scale = Fraction(1, factorial(n))
         rows = []
         for op, members in order_classes:
-            rep = members[0][0]
-            w = weight(canonical_id(rep))
+            owner, sign = orbit(members[0][0], mirror=True)
+            w = weight(canonical_id(owner))
             if w is None:
-                missing.append(rep)
-            elif w[0] or w[1]:
+                missing.add(owner)
+            elif sign * w[0] or w[1]:
                 size = len(members)
-                rows.append(((size * w[0], size * w[1]), op.scale(scale)))
+                rows.append(((sign * size * w[0], size * w[1]), op.scale(scale)))
         out.append(rows)
     if missing:
         raise MissingWeightError(missing)
@@ -310,8 +311,8 @@ def kontsevich_star_series(
     """Exact star series of pi from snapped weights, up to the order
     len(classes) of its star_classes: the h^n operator is
     (1/n!) sum_Gamma w_Gamma B_Gamma over the 2n-edge graphs of order n,
-    summed over the class_rows of classes.  A representative without a
-    snapped weight raises MissingWeightError.
+    summed over the class_rows of classes, which read one weight per weight
+    orbit.  An owner without a snapped weight raises MissingWeightError.
     """
     if not jacobiator(pi).is_zero:
         warnings.warn(

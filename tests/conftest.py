@@ -2,28 +2,31 @@ from pathlib import Path
 
 import pytest
 
-from deformq.graphs import enumerate_graphs
-from deformq.weights import WeightTable, build_weight_table
+from deformq.table import WeightTable
 
 CACHE = Path(__file__).parent / ".weight_cache.json"
-TABLE_SEED = 2024
+# README's derivation of the committed table, which
+# test_order_two_table_rederived_from_empty_cache checks
+DERIVATION = (
+    "build_weight_table([g for n in (1, 2) for g in enumerate_graphs(n, 2)], "
+    'seed=2024).save("tests/.weight_cache.json")'
+)
 
 
 @pytest.fixture(scope="session")
 def weight_table():
-    """Snapped weights for every graph up to order 2, derived by seeded
-    Monte-Carlo runs and rational snapping; memoized on disk because the
-    computation is deterministic."""
-    if CACHE.exists():
-        table = WeightTable.load(CACHE)
-        if all(e.snapped is not None for e in table.entries.values()):
-            return table
-    graphs = [g for n in (1, 2) for g in enumerate_graphs(n, 2)]
-    table = build_weight_table(graphs, seed=TABLE_SEED)
-    unsnapped = [gid for gid, e in table.entries.items() if e.snapped is None]
+    """The committed snapped weights of every graph up to order 2.  A missing
+    file or an unsnapped entry fails the session: the committed test data is
+    never derived again over itself, which would hide whatever left an entry
+    unsnapped."""
+    if not CACHE.exists():
+        pytest.fail(f"{CACHE} is missing; derive it with {DERIVATION}")
+    table = WeightTable.load(CACHE)
+    unsnapped = sorted(gid for gid, e in table.entries.items() if e.snapped is None)
     if unsnapped:
-        raise RuntimeError(f"weights failed to snap uniquely: {unsnapped}")
-    table.save(CACHE)
+        pytest.fail(
+            f"{CACHE} holds unsnapped entries {unsnapped}; derive it with {DERIVATION}"
+        )
     return table
 
 

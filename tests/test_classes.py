@@ -1,9 +1,12 @@
-"""The class facts that let a star series read one weight per class.
+"""The class facts that let a star series read one weight per weight orbit.
 
-class_rows gives a class c the weight |c| * w(rep) and reads only the
-representative's entry.  That is the series summed over every member only if
-each class lists its representative first, with sign 1, every member's orbit
-leads to it, and a rule fixes every member or none, each with its orbit sign.
+class_rows gives a class c the weight |c| * sign * w(owner) and reads only
+the entry of the owner, (owner, sign) = orbit(rep, mirror=True), the least
+member of the representative's weight orbit (relabelling, star reordering
+and the mirror b1 <-> b2).  That is the series summed over every member only
+if each class lists its representative first, with sign 1, every member's
+orbit leads to it, and a rule fixes every member of a weight orbit or none,
+each with its orbit sign, so that the owner's entry decides the whole orbit.
 """
 
 import json
@@ -12,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from deformq.cli import main
-from deformq.graphs import canonical_id, orbit, parse_id
+from deformq.graphs import canonical_id, enumerate_graphs, orbit, parse_id
 from deformq.polyalg import PolyVector, parse_polynomial
 from deformq.starprod import _class_operators, class_rows, point_weights, star_classes
 from deformq.table import WeightTable
@@ -72,10 +75,26 @@ def test_a_rule_fixes_every_member_or_none(classes):
                 assert rule[1] == sign * fixed[1]
 
 
-def test_class_rows_reads_each_representative_once():
+def test_a_rule_fixes_every_weight_orbit_member_or_none():
+    # every labelled graph of orders 1-3 against the owner of its weight
+    # orbit, the entry class_rows reads for it
+    graphs = [g for n in (1, 2, 3) for g in enumerate_graphs(n, 2)]
+    assert len(graphs) == 4181
+    for g in graphs:
+        owner, sign = orbit(g, mirror=True)
+        rule, fixed = weight_rule(g), weight_rule(owner)
+        assert (rule is None) == (fixed is None)
+        if rule is not None:
+            assert rule[1] == sign * fixed[1]
+
+
+def test_class_rows_reads_only_the_weight_orbit_owners():
+    # so(3) at order 2 has 7 classes in 5 weight orbits: the mirror pairs
+    # the -1/12 class with the 1/12 one, and the rule-fixed 2;2;[2,b1],[1,b1]
+    # with 2;2;[2,b2],[1,b2]
     pi = STRUCTURES["so3"]
     classes = star_classes(pi, 2)
-    reps = [canonical_id(gs[0][0]) for row in classes for _, gs in row]
+    reps = [gs[0][0] for row in classes for _, gs in row]
     read = []
     weight = point_weights(WeightTable.load(COMMITTED))
 
@@ -84,7 +103,10 @@ def test_class_rows_reads_each_representative_once():
         return weight(gid)
 
     class_rows(pi.dim, classes, counting)
-    assert read == reps and len(read) == 7
+    assert len(reps) == 7
+    assert read == [canonical_id(orbit(rep, mirror=True)[0]) for rep in reps]
+    assert len(set(read)) == 5
+    assert all(orbit(parse_id(gid), mirror=True) == (parse_id(gid), 1) for gid in read)
 
 
 @pytest.mark.parametrize(
@@ -94,23 +116,25 @@ def test_class_rows_reads_each_representative_once():
 )
 @pytest.mark.parametrize("change", ["delete", "alter"])
 def test_a_members_entry_is_never_read_nor_filled(capsys, tmp_path, command, change):
-    # 2;2;[2,b2],[1,b1] is a member of the wheel's class 2;2;[2,b1],[1,b2]
+    # 2;2;[2,b2],[1,b1] is a member of the wheel's class 2;2;[2,b1],[1,b2];
+    # 2;2;[2,b2],[b1,b2] represents the 1/12 class, the mirror image of the
+    # -1/12 class, whose owner 2;2;[2,b1],[b1,b2] holds the orbit's weight
     pi = tmp_path / "so3.json"
     so3 = {"1,2": "x3", "1,3": "- x2", "2,3": "x1"}
     pi.write_text(json.dumps({"dim": 3, "components": so3}))
     argv = command + ["--pi", str(pi), "--order", "2", "--cache"]
     assert main(argv + [str(COMMITTED)]) == 0
     committed = capsys.readouterr().out
-    entries = json.loads(COMMITTED.read_text())
-    member = "2;2;[2,b2],[1,b1]"
-    assert orbit(parse_id(member))[0] != parse_id(member)
-    if change == "delete":
-        del entries[member]
-    else:
-        entries[member]["snapped"] = "1/3"
-    cache = tmp_path / "member.json"
-    cache.write_text(json.dumps(entries))
-    before = cache.read_bytes()
-    assert main(argv + [str(cache)]) == 0
-    assert capsys.readouterr().out == committed
-    assert cache.read_bytes() == before
+    for member in ("2;2;[2,b2],[1,b1]", "2;2;[2,b2],[b1,b2]"):
+        assert orbit(parse_id(member), mirror=True)[0] != parse_id(member)
+        entries = json.loads(COMMITTED.read_text())
+        if change == "delete":
+            del entries[member]
+        else:
+            entries[member]["snapped"] = "1/3"
+        cache = tmp_path / "member.json"
+        cache.write_text(json.dumps(entries))
+        before = cache.read_bytes()
+        assert main(argv + [str(cache)]) == 0
+        assert capsys.readouterr().out == committed
+        assert cache.read_bytes() == before

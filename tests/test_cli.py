@@ -780,18 +780,17 @@ def test_order_three_refused_before_any_work(
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert not cache.exists()
-    # one rule lookup per order-3 class
-    assert len(ruled) == len(set(ruled)) == 10
-    # so(3) reads 10 order-3 classes, one representative each; no rule fixes
-    # 8 of them, in 5 classes under the mirror, and none is ever sampled
+    # one rule lookup per order-3 weight orbit
+    assert len(ruled) == len(set(ruled)) == 6
+    # so(3) reads 10 order-3 classes in 6 weight orbits, one owner each; no
+    # rule fixes 5 of them, and none is ever sampled
     prefix = "error: no snapped weight for graphs: "
     assert err.startswith(prefix) and err.endswith("\n")
     named = [parse_id(gid) for gid in err[len(prefix):-1].split(", ")]
-    assert len(named) == 8
-    assert all(orbit(g) == (g, 1) for g in named)
+    assert len(named) == 5
+    assert all(orbit(g, mirror=True) == (g, 1) for g in named)
     assert named == sorted(named, key=graphs._order_key)
     assert all(g.n == 3 and weights.weight_rule(g) is None for g in named)
-    assert len({orbit(g, mirror=True)[0] for g in named}) == 5
 
 
 def test_star_order_three_on_so3_enumerates_only_the_graphs_it_reads(
@@ -886,6 +885,41 @@ def test_check_assoc_certifies_operator_identity(
     assert code == 1
     assert out["pass"] is False
     assert out["failures"] == 0 and out["triples"] == 27
+
+
+def test_a_passing_check_assoc_applies_no_triple(
+    monkeypatch, capsys, so3_file, cache_arg
+):
+    # a passing identity has failures 0 without evaluating the d^3 triples
+    calls = []
+    real = cli.apply_op
+
+    def counting(op, args):
+        calls.append(op)
+        return real(op, args)
+
+    monkeypatch.setattr(cli, "apply_op", counting)
+    code, out = run(capsys, ["check", "assoc", "--pi", so3_file] + cache_arg)
+    assert code == 0
+    assert (out["pass"], out["failures"], out["triples"]) == (True, 0, 27)
+    assert calls == []
+
+
+def test_check_assoc_counts_failing_triples_of_a_non_poisson_pi(
+    capsys, tmp_path, cache_arg
+):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"dim": 3, "components": {"1,2": "x1", "1,3": "x3", "2,3": "x2"}})
+    )
+    code = main(["check", "assoc", "--pi", str(path)] + cache_arg)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "warning: [pi,pi] != 0, star product will not be associative\n"
+    assert out == (
+        '{\n "check": "assoc",\n "failures": 6,\n "mode": "table",\n'
+        ' "order": 2,\n "pass": false,\n "triples": 27\n}\n'
+    )
 
 
 def test_check_assoc_reads_each_members_own_weight(
@@ -1384,9 +1418,9 @@ def test_star_builds_operators_once_per_order(capsys, so3_file, cache_arg, monke
 @pytest.mark.parametrize(
     "components, written, estimated",
     [
-        # so(3): 1 order-1 and 6 order-2 classes, one representative each,
-        # 3 of them fixed by a rule
-        ({"1,2": "x3", "1,3": "- x2", "2,3": "x1"}, 7,
+        # so(3): 1 order-1 and 6 order-2 classes in 5 weight orbits, one
+        # owner each, 2 of them fixed by a rule
+        ({"1,2": "x3", "1,3": "- x2", "2,3": "x1"}, 5,
          ["2;2;[2,b1],[1,b2]", "2;2;[2,b1],[b1,b2]", "2;2;[b1,b2],[b1,b2]"]),
         # a constant pi reads no graph with an edge between aerial vertices
         ({"1,2": "1", "3,4": "2"}, 2, ["2;2;[b1,b2],[b1,b2]"]),
@@ -1419,6 +1453,8 @@ def test_a_cold_star_fills_only_the_graphs_it_reads(
     assert sorted(sampled) == estimated
     filled = json.loads(cache.read_text())
     assert len(filled) == written
+    # the rest are fixed by a rule, exact with stderr 0
+    assert sum(e["stderr"] == 0 for e in filled.values()) == written - len(estimated)
     assert all(e["snapped"] == committed[gid]["snapped"] for gid, e in filled.items())
 
 
@@ -1509,13 +1545,16 @@ def test_warm_star_and_check_assoc_import_only_the_code_they_run(
 def test_a_fully_cached_order_three_star_loads_no_monte_carlo_code(
     tmp_path, so3_file, weight_cache_path
 ):
-    # synthetic snapped entries for the order-3 representatives the cache
-    # lacks (8 that no rule fixes, 2 that one does): nothing to fill
+    # synthetic snapped entries for the order-3 weight-orbit owners the
+    # cache lacks (5 that no rule fixes, 1 that one does), and for no other
+    # graph of the 10 order-3 classes: nothing to fill
     entries = json.loads(Path(weight_cache_path).read_text())
     classes = starprod.star_classes(load_poisson(so3_file), 3)
-    reps = {canonical_id(gs[0][0]) for row in classes for _, gs in row}
-    added = sorted(reps - set(entries))
-    assert len(added) == 10 and all(gid.startswith("3;") for gid in added)
+    owners = {
+        canonical_id(orbit(gs[0][0], mirror=True)[0]) for row in classes for _, gs in row
+    }
+    added = sorted(owners - set(entries))
+    assert len(added) == 6 and all(gid.startswith("3;") for gid in added)
     for gid in added:
         entries[gid] = {
             "mean": 0.0, "stderr": 0.0, "samples": 1, "seed": 0, "snapped": "0",
