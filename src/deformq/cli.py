@@ -12,10 +12,13 @@ check the weight options (`_weight_cache`) and get their weights from
 it, and snaps a new one at the bound its graph's order sets (no option does:
 `weights.snap_bound`); every command that reads `--order` refuses a negative
 one (`_order`).  `star` and `check assoc` fill only the weight-orbit owners
-they read (`_star_table`).  A warm `star` or `check assoc` (every weight it
-needs snapped in the cache) imports only the modules whose code it runs.  The
-Monte-Carlo estimation (`weights`), the closed forms (`closedform`) and the
-randomised suites (`suites`) are imported inside the handlers that use them.
+that `starprod.star_classes` pairs with their summed operators, the entries
+they read (`_star_table`).  `star` turns the series' own non-Poisson warning
+into one stderr line and leaves any other warning to the interpreter's
+filters.  A warm `star` or `check assoc` (every weight it needs snapped in
+the cache) imports only the modules whose code it runs.  The Monte-Carlo
+estimation (`weights`), the closed forms (`closedform`) and the randomised
+suites (`suites`) are imported inside the handlers that use them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from deformq.graphs import canonical_id, enumerate_graphs, orbit, parse_id
+from deformq.graphs import canonical_id, enumerate_graphs, parse_id
 from deformq.operators import apply_op
 from deformq.polyalg import (
     Polynomial,
@@ -42,6 +45,7 @@ from deformq.starprod import (
     MAX_ORDER,
     Classes,
     MissingWeightError,
+    NotPoissonWarning,
     associator_bound,
     band_weights,
     class_rows,
@@ -97,8 +101,8 @@ def load_poisson(path: str) -> PolyVector:
     """Poisson JSON: {"dim": d, "components": {"i,j": "poly-string"}} and no
     other key (a misspelt "components" would read as pi = 0)."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read poisson file {path}: {exc}") from exc
     try:
         unknown = set(data) - {"dim", "components"}
@@ -188,19 +192,18 @@ def _weight_table(
 def _star_table(
     args, cache: Path, pi: PolyVector, snapped: bool
 ) -> tuple[Classes, WeightTable]:
-    """star_classes(pi, --order) and _weight_table for the owners of their
-    weight orbits (class_rows), the only graphs a star or check assoc request
-    reads.  Refused: an order above MAX_ORDER before any enumeration, and (by
-    _weight_table) an owner above MAX_SAMPLED_ORDER with no snapped entry
-    and no rule before any fill.  If `snapped`, one that fails to snap is a
-    check failure."""
+    """star_classes(pi, --order) and _weight_table for the owners of its
+    (owner, B) pairs, the only graphs a star or check assoc request reads
+    (class_rows).  Refused: an order above MAX_ORDER before any enumeration,
+    and (by _weight_table) an owner above MAX_SAMPLED_ORDER with no snapped
+    entry and no rule before any fill.  If `snapped`, one that fails to snap
+    is a check failure."""
     if args.order > MAX_ORDER:
         raise UsageError(
             f"--order {args.order} is above {MAX_ORDER}, the highest star order"
         )
     classes = star_classes(pi, args.order)
-    owners = (orbit(gs[0][0], mirror=True)[0] for row in classes for _, gs in row)
-    graphs = {canonical_id(g): g for g in owners}
+    graphs = {canonical_id(g): g for row in classes for g, _ in row}
     table = _weight_table(
         args, cache, _load_table(args, cache), graphs, MAX_SAMPLED_ORDER
     )
@@ -295,12 +298,16 @@ def cmd_star(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     classes, table = _star_table(args, cache, pi, snapped=True)
-    # its one warning (pi is not Poisson) becomes the CLI's one-line warning
+    # the series' own warning (pi is not Poisson) becomes the CLI's one-line
+    # warning; any other is left to the interpreter's filters
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter("always", NotPoissonWarning)
         out = kontsevich_star(pi, f, g, classes, table)
-    if caught:
-        _print_not_poisson()
+    for w in caught:
+        if issubclass(w.category, NotPoissonWarning):
+            _print_not_poisson()
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     _emit(_series_json(out))
     return 0
 
@@ -355,14 +362,16 @@ def _check_assoc(args) -> dict:
     # apply_op on coordinates is a nonnegative linear map of the coefficients:
     # a triple whose applied bound excludes 0 has a nonzero defect, and a
     # passing identity has none
-    xs = [Polynomial.var(pi.dim, i) for i in range(1, pi.dim + 1)]
-    report["failures"] = 0 if report["pass"] else sum(
-        not all(
-            contains_zero(apply_op(c, list(fgh)), apply_op(r, list(fgh)))
-            for c, r in bound
+    report["failures"] = 0
+    if not report["pass"]:
+        xs = [Polynomial.var(pi.dim, i) for i in range(1, pi.dim + 1)]
+        report["failures"] = sum(
+            not all(
+                contains_zero(apply_op(c, list(fgh)), apply_op(r, list(fgh)))
+                for c, r in bound
+            )
+            for fgh in itertools.product(xs, repeat=3)
         )
-        for fgh in itertools.product(xs, repeat=3)
-    )
     return report
 
 

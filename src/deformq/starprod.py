@@ -58,6 +58,10 @@ class MissingWeightError(LookupError):
         super().__init__(f"no snapped weight for graphs: {ids}")
 
 
+class NotPoissonWarning(UserWarning):
+    """A star series is assembled for a bivector with [pi,pi] != 0."""
+
+
 # ---------------------------------------------------------------------------
 # series of bidifferential operators
 # ---------------------------------------------------------------------------
@@ -236,16 +240,29 @@ def graph_operators(
     return out
 
 
-Classes = list[list[tuple[MultiDiffOp, list[tuple[AdmissibleGraph, int]]]]]
+# per order n = 1..order: (owner, B) for each weight orbit (star_classes)
+Classes = list[list[tuple[AdmissibleGraph, MultiDiffOp]]]
 
 
 def star_classes(pi: PolyVector, order: int) -> Classes:
-    """_class_operators(pi, n) for n = 1..order: every graph the series of
-    pi up to `order` reads a weight for is the owner (class_rows) of the
-    weight orbit of one of these classes."""
+    """(owner, B) for each weight orbit of order n = 1..order, in order of
+    first class; the owners are the only graphs a series reads a weight for.
+    The classes c of _class_operators(pi, n) are grouped by (owner, sign) =
+    orbit(rep_c, mirror=True), and B = sum sign * |c| / n! * B_c, since each
+    member g has w(g) = sign_g * sign * w(owner) and B(g) = sign_g * B_c (the
+    mirror transposes B_c, so each class is built apart).  An orbit whose B
+    sums to 0 is kept: its owner is still read."""
     if order > MAX_ORDER:
         raise ValueError(f"orders above {MAX_ORDER} are outside the weight table scope")
-    return [_class_operators(pi, n) for n in range(1, order + 1)]
+    out = []
+    for n in range(1, order + 1):
+        orbits: dict[AdmissibleGraph, list[tuple[Fraction, MultiDiffOp]]] = {}
+        for op, members in _class_operators(pi, n):
+            owner, sign = orbit(members[0][0], mirror=True)
+            scale = Fraction(sign * len(members), factorial(n))
+            orbits.setdefault(owner, []).append((scale, op))
+        out.append([(g, linear_combination(t, pi.dim, 2)) for g, t in orbits.items()])
+    return out
 
 
 def point_weights(table: WeightTable) -> Callable[[str], Interval | None]:
@@ -275,30 +292,20 @@ def band_weights(table: WeightTable) -> Callable[[str], Interval | None]:
 def class_rows(
     dim: int, classes: Classes, weight: Callable[[str], Interval | None]
 ) -> list[list[tuple[Interval, MultiDiffOp]]]:
-    """The star coefficients of orders 0..len(classes) as rows (W_c, B_c / n!),
-    one per class c of classes[n - 1] (star_classes); a class whose W_c is
-    the point 0 is left out.  Order 0 is the multiplication with weight 1.
-
-    B_c is the representative's operator and W_c = |c| * sign * weight(id
-    of the owner), for (owner, sign) = orbit(rep, mirror=True), since every
-    member g has w(g) = sign_g * w(rep) = sign_g * sign * w(owner) and
-    B(g) = sign_g * B(rep); the sign scales an interval's centre, |c| its
-    centre and radius.  Only owners are read, one entry per weight orbit:
-    those without a weight raise MissingWeightError naming each once.
-    """
+    """The star coefficients of orders 0..len(classes) as rows (weight(id of
+    owner), B), one per pair of classes[n - 1] (star_classes) whose weight
+    is not the point 0; order 0 is the multiplication with weight 1.  Owners
+    without a weight raise MissingWeightError, which names each."""
     out = [[(_UNIT, MultiDiffOp.multiplication(dim))]]
-    missing = set()
-    for n, order_classes in enumerate(classes, 1):
-        scale = Fraction(1, factorial(n))
+    missing = []
+    for pairs in classes:
         rows = []
-        for op, members in order_classes:
-            owner, sign = orbit(members[0][0], mirror=True)
+        for owner, op in pairs:
             w = weight(canonical_id(owner))
             if w is None:
-                missing.add(owner)
-            elif sign * w[0] or w[1]:
-                size = len(members)
-                rows.append(((sign * size * w[0], size * w[1]), op.scale(scale)))
+                missing.append(owner)
+            elif w[0] or w[1]:
+                rows.append((w, op))
         out.append(rows)
     if missing:
         raise MissingWeightError(missing)
@@ -308,16 +315,15 @@ def class_rows(
 def kontsevich_star_series(
     pi: PolyVector, classes: Classes, table: WeightTable
 ) -> StarSeries:
-    """Exact star series of pi from snapped weights, up to the order
-    len(classes) of its star_classes: the h^n operator is
-    (1/n!) sum_Gamma w_Gamma B_Gamma over the 2n-edge graphs of order n,
-    summed over the class_rows of classes, which read one weight per weight
-    orbit.  An owner without a snapped weight raises MissingWeightError.
-    """
+    """Exact star series of pi from snapped weights up to len(classes): the
+    h^n operator (1/n!) sum_Gamma w_Gamma B_Gamma over the order-n graphs is
+    the sum of w(owner) * B over the class_rows of classes (star_classes).
+    An owner without a snapped weight raises MissingWeightError."""
     if not jacobiator(pi).is_zero:
         warnings.warn(
             "bivector is not Poisson: [pi,pi] != 0; the series will not be "
             "associative",
+            NotPoissonWarning,
             stacklevel=2,
         )
     ops = [

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -888,21 +889,35 @@ def test_check_assoc_certifies_operator_identity(
 
 
 def test_a_passing_check_assoc_applies_no_triple(
-    monkeypatch, capsys, so3_file, cache_arg
+    monkeypatch, capsys, so3_file, cache_arg, tmp_path
 ):
-    # a passing identity has failures 0 without evaluating the d^3 triples
-    calls = []
-    real = cli.apply_op
+    # a passing identity has failures 0 without building the d coordinates
+    # or evaluating the d^3 triples; a failing one builds each coordinate once
+    calls, coordinates = [], []
+    real, real_var = cli.apply_op, Polynomial.var
 
     def counting(op, args):
         calls.append(op)
         return real(op, args)
 
+    def counting_var(dim, i):
+        coordinates.append(i)
+        return real_var(dim, i)
+
     monkeypatch.setattr(cli, "apply_op", counting)
+    monkeypatch.setattr(Polynomial, "var", staticmethod(counting_var))
     code, out = run(capsys, ["check", "assoc", "--pi", so3_file] + cache_arg)
     assert code == 0
     assert (out["pass"], out["failures"], out["triples"]) == (True, 0, 27)
-    assert calls == []
+    assert calls == [] and coordinates == []
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({"dim": 3, "components": {"1,2": "x1", "1,3": "x3", "2,3": "x2"}})
+    )
+    code, out = run(capsys, ["check", "assoc", "--pi", str(bad)] + cache_arg)
+    assert code == 1
+    assert (out["pass"], out["failures"], out["triples"]) == (False, 6, 27)
+    assert calls and coordinates == [1, 2, 3]
 
 
 def test_check_assoc_counts_failing_triples_of_a_non_poisson_pi(
@@ -922,12 +937,12 @@ def test_check_assoc_counts_failing_triples_of_a_non_poisson_pi(
     )
 
 
-def test_check_assoc_reads_each_members_own_weight(
+def test_check_assoc_reads_only_the_owners_weight(
     capsys, so3_file, weight_cache_path, tmp_path
 ):
-    # a class is read through its representative alone: altering the
-    # representative's entry breaks the certificate, altering another
-    # member's entry leaves it as it was
+    # a weight orbit is read through its owner alone: altering the owner's
+    # entry breaks the certificate, altering another member's entry leaves
+    # it as it was
     entries = json.loads(Path(weight_cache_path).read_text())
     member, rep = "2;2;[2,b1],[b2,b1]", "2;2;[2,b1],[b1,b2]"
     assert entries[member]["snapped"] == "1/12"
@@ -1023,6 +1038,22 @@ def test_poisson_file_of_wrong_shape_is_usage_error(capsys, tmp_path, text):
     code = main(["check", "jacobi", "--pi", str(path)])
     assert code == 2
     assert "malformed poisson file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["star", "check-jacobi"])
+def test_poisson_file_that_is_not_utf8_is_usage_error(
+    capsys, tmp_path, cache_arg, command
+):
+    path = tmp_path / "pi.json"
+    path.write_bytes(b"\xff\xfe{")
+    argv = {
+        "star": ["star", "--pi", str(path), "--f", "x1", "--g", "x2"] + cache_arg,
+        "check-jacobi": ["check", "jacobi", "--pi", str(path)],
+    }[command]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read poisson file {path}: ")
 
 
 def test_poisson_file_with_an_unknown_key_is_usage_error(
@@ -1371,6 +1402,51 @@ def test_star_warns_on_non_poisson(capsys, tmp_path, weight_cache_path, monkeypa
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_star_leaves_any_other_warning_to_the_filters(
+    capsys, so3_file, cache_arg, monkeypatch, action
+):
+    # so(3) is Poisson: a warning raised in the assembly is not the series'
+    # non-Poisson warning, so it is an error under an "error" filter (a
+    # crash, exit 70) and silent under "ignore"
+    real = cli.kontsevich_star
+
+    def deprecated(*args):
+        warnings.warn("an assembly step is deprecated", DeprecationWarning)
+        return real(*args)
+
+    argv = ["star", "--pi", so3_file, "--f", "x1", "--g", "x2"] + cache_arg
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(cli, "kontsevich_star", deprecated)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert "[pi,pi]" not in err
+    if action == "error":
+        assert (code, out) == (70, "")
+        assert "DeprecationWarning: an assembly step is deprecated" in err
+    else:
+        assert (code, out, err) == (0, expected, "")
+
+
+def test_star_prints_its_non_poisson_line_under_an_error_filter(
+    capsys, tmp_path, cache_arg
+):
+    # the series' own warning is the CLI's one line, never an error
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"dim": 3, "components": {"1,2": "x1", "1,3": "x3", "2,3": "x2"}})
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["star", "--pi", str(path), "--f", "x1", "--g", "x2"] + cache_arg)
+    out, err = capsys.readouterr()
+    assert code == 0 and json.loads(out)["order"] == 2
+    assert err == "warning: [pi,pi] != 0, star product will not be associative\n"
+
+
 def test_check_assoc_mc_mode_order_one(capsys, so3_file):
     code, out = run(
         capsys,
@@ -1550,9 +1626,7 @@ def test_a_fully_cached_order_three_star_loads_no_monte_carlo_code(
     # graph of the 10 order-3 classes: nothing to fill
     entries = json.loads(Path(weight_cache_path).read_text())
     classes = starprod.star_classes(load_poisson(so3_file), 3)
-    owners = {
-        canonical_id(orbit(gs[0][0], mirror=True)[0]) for row in classes for _, gs in row
-    }
+    owners = {canonical_id(g) for row in classes for g, _ in row}
     added = sorted(owners - set(entries))
     assert len(added) == 6 and all(gid.startswith("3;") for gid in added)
     for gid in added:
