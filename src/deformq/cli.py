@@ -13,12 +13,12 @@ it, and snaps a new one at the bound its graph's order sets (no option does:
 `weights.snap_bound`); every command that reads `--order` refuses a negative
 one (`_order`).  `star` and `check assoc` fill only the weight-orbit owners
 that `starprod.star_classes` pairs with their summed operators, the entries
-they read (`_star_table`).  `star` turns the series' own non-Poisson warning
-into one stderr line and leaves any other warning to the interpreter's
-filters.  A warm `star` or `check assoc` (every weight it needs snapped in
-the cache) imports only the modules whose code it runs.  The Monte-Carlo
-estimation (`weights`), the closed forms (`closedform`) and the randomised
-suites (`suites`) are imported inside the handlers that use them.
+they read (`_star_table`), which prints one stderr line when pi is not
+Poisson.  No warning is recorded: each reaches the interpreter's filters.
+A warm `star` or `check assoc` (every weight it needs snapped in the cache)
+imports only the modules whose code it runs.  The Monte-Carlo estimation
+(`weights`), the closed forms (`closedform`) and the randomised suites
+(`suites`) are imported inside the handlers that use them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import json
 import os
 import re
 import sys
-import warnings
 from pathlib import Path
 
 from deformq.graphs import canonical_id, enumerate_graphs, parse_id
@@ -45,7 +44,6 @@ from deformq.starprod import (
     MAX_ORDER,
     Classes,
     MissingWeightError,
-    NotPoissonWarning,
     associator_bound,
     band_weights,
     class_rows,
@@ -197,7 +195,7 @@ def _star_table(
     (class_rows).  Refused: an order above MAX_ORDER before any enumeration,
     and (by _weight_table) an owner above MAX_SAMPLED_ORDER with no snapped
     entry and no rule before any fill.  If `snapped`, one that fails to snap
-    is a check failure."""
+    is a check failure.  Last, it prints one stderr line if pi is not Poisson."""
     if args.order > MAX_ORDER:
         raise UsageError(
             f"--order {args.order} is above {MAX_ORDER}, the highest star order"
@@ -212,19 +210,12 @@ def _star_table(
         raise CheckFailure(
             f"weights failed to snap uniquely: {', '.join(sorted(unsnapped))}"
         )
-    return classes, table
-
-
-def _print_not_poisson() -> None:
-    print(
-        "warning: [pi,pi] != 0, star product will not be associative",
-        file=sys.stderr,
-    )
-
-
-def _warn_if_not_poisson(pi: PolyVector) -> None:
     if not jacobiator(pi).is_zero:
-        _print_not_poisson()
+        print(
+            "warning: [pi,pi] != 0, star product will not be associative",
+            file=sys.stderr,
+        )
+    return classes, table
 
 
 def _series_json(series) -> dict:
@@ -246,11 +237,11 @@ def _emit(data) -> None:
 def cmd_graphs(args) -> int:
     if args.nbar != 2:
         raise UsageError("only --nbar 2 is in scope for star products")
-    if args.n < 0 or 2 * args.n + args.nbar - 2 < 0:
+    if args.n < 0:
         raise UsageError("invalid vertex counts")
-    # 2n ordered edges, each to one of n + nbar - 1 targets, at least 2 if
-    # n >= 1: more edges than the limit has bits exceed it, left a power
-    base, edges = args.n + args.nbar - 1, 2 * args.n
+    # 2n ordered edges, each to one of the n + 1 other vertices, at least 2
+    # if n >= 1: more edges than the limit has bits exceed it, left a power
+    base, edges = args.n + 1, 2 * args.n
     big = edges > MAX_GRAPHS.bit_length()
     count = f"{base}^{edges}" if big else base**edges
     if big or count > MAX_GRAPHS:
@@ -298,17 +289,7 @@ def cmd_star(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     classes, table = _star_table(args, cache, pi, snapped=True)
-    # the series' own warning (pi is not Poisson) becomes the CLI's one-line
-    # warning; any other is left to the interpreter's filters
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NotPoissonWarning)
-        out = kontsevich_star(pi, f, g, classes, table)
-    for w in caught:
-        if issubclass(w.category, NotPoissonWarning):
-            _print_not_poisson()
-        else:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    _emit(_series_json(out))
+    _emit(_series_json(kontsevich_star(pi, f, g, classes, table)))
     return 0
 
 
@@ -337,13 +318,26 @@ def _check_jacobi(args) -> dict:
     }
 
 
+def _coordinate_triples(op) -> set[tuple[int, int, int]]:
+    """The (i, j, k) on which op(x_i, x_j, x_k) can be nonzero.  A term
+    whose slot s takes the derivative e_t reaches only x_t there, one that
+    takes none there reaches every coordinate, and one that takes a higher
+    derivative in any slot reaches no triple."""
+    out = set()
+    anyone = range(1, op.dim + 1)
+    for key in op.terms:
+        if all(sum(k) < 2 for k in key):
+            slots = [(k.index(1) + 1,) if any(k) else anyone for k in key]
+            out.update(itertools.product(*slots))
+    return out
+
+
 def _check_assoc(args) -> dict:
     order = _order(args)
     cache = _weight_cache(args)
     pi = load_poisson(args.pi)
     # mc mode reads every estimate as a band, snapped or not
     classes, table = _star_table(args, cache, pi, snapped=args.weights == "table")
-    _warn_if_not_poisson(pi)
     report = {
         "check": "assoc",
         "mode": args.weights,
@@ -364,13 +358,15 @@ def _check_assoc(args) -> dict:
     # passing identity has none
     report["failures"] = 0
     if not report["pass"]:
-        xs = [Polynomial.var(pi.dim, i) for i in range(1, pi.dim + 1)]
+        # a triple on which every C_r is 0 cannot fail, since |0| <= R_r
+        triples = sorted(set().union(*(_coordinate_triples(c) for c, _ in bound)))
+        named = sorted({i for t in triples for i in t})
+        xs = {i: Polynomial.var(pi.dim, i) for i in named}
         report["failures"] = sum(
             not all(
-                contains_zero(apply_op(c, list(fgh)), apply_op(r, list(fgh)))
-                for c, r in bound
+                contains_zero(apply_op(c, fgh), apply_op(r, fgh)) for c, r in bound
             )
-            for fgh in itertools.product(xs, repeat=3)
+            for fgh in ([xs[i] for i in t] for t in triples)
         )
     return report
 

@@ -11,7 +11,6 @@ convention through the weight normalization (wedge graph weight +1/2).
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import factorial
@@ -36,7 +35,6 @@ from deformq.polyalg import (
     FormalSeries,
     Polynomial,
     PolyVector,
-    jacobiator,
     truncated_product,
 )
 from deformq.record import Frozen
@@ -56,10 +54,6 @@ class MissingWeightError(LookupError):
     def __init__(self, graphs):
         ids = ", ".join(canonical_id(g) for g in sorted(graphs, key=_order_key))
         super().__init__(f"no snapped weight for graphs: {ids}")
-
-
-class NotPoissonWarning(UserWarning):
-    """A star series is assembled for a bivector with [pi,pi] != 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +312,8 @@ def kontsevich_star_series(
     """Exact star series of pi from snapped weights up to len(classes): the
     h^n operator (1/n!) sum_Gamma w_Gamma B_Gamma over the order-n graphs is
     the sum of w(owner) * B over the class_rows of classes (star_classes).
-    An owner without a snapped weight raises MissingWeightError."""
-    if not jacobiator(pi).is_zero:
-        warnings.warn(
-            "bivector is not Poisson: [pi,pi] != 0; the series will not be "
-            "associative",
-            NotPoissonWarning,
-            stacklevel=2,
-        )
+    An owner without a snapped weight raises MissingWeightError.  Any pi is
+    assembled, silently: from order 2 on, associative iff [pi,pi] = 0."""
     ops = [
         linear_combination(((c, op) for (c, _), op in rows), pi.dim, 2)
         for rows in class_rows(pi.dim, classes, point_weights(table))

@@ -15,7 +15,8 @@ import pytest
 from deformq import cli, closedform, graphs, starprod, weights
 from deformq.cli import load_poisson, main, save_poisson
 from deformq.graphs import canonical_id, orbit, parse_id
-from deformq.polyalg import Polynomial, PolyVector, parse_polynomial
+from deformq.operators import compose_gerstenhaber
+from deformq.polyalg import FormalSeries, Polynomial, PolyVector, parse_polynomial
 from deformq.table import WeightTable
 
 
@@ -78,6 +79,11 @@ def test_graphs_empty(capsys):
 def test_graphs_scope_guard(capsys):
     code = main(["graphs", "--n", "1", "--nbar", "0"])
     assert code == 2
+
+
+def test_graphs_refuses_a_negative_n(capsys):
+    assert main(["graphs", "--n", "-1", "--nbar", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: invalid vertex counts\n")
 
 
 def test_graphs_refuses_more_than_a_million_before_enumerating(
@@ -937,6 +943,39 @@ def test_check_assoc_counts_failing_triples_of_a_non_poisson_pi(
     )
 
 
+def test_check_assoc_evaluates_only_the_triples_a_defect_reaches(
+    capsys, monkeypatch, tmp_path, cache_arg
+):
+    # the non-Poisson pi above embedded in 80 dimensions: a triple on which
+    # every C_r vanishes cannot fail, so of the 512 000 coordinate triples
+    # only the few that a term of some C_r reaches are evaluated
+    path = tmp_path / "bad80.json"
+    path.write_text(
+        json.dumps({"dim": 80, "components": {"1,2": "x1", "1,3": "x3", "2,3": "x2"}})
+    )
+    calls = []
+    real = cli.apply_op
+
+    def counting(op, args):
+        calls.append(op)
+        return real(op, args)
+
+    monkeypatch.setattr(cli, "apply_op", counting)
+    code, out = run(capsys, ["check", "assoc", "--pi", str(path)] + cache_arg)
+    assert code == 1
+    assert (out["pass"], out["failures"], out["triples"]) == (False, 6, 512_000)
+    assert len(calls) <= 100
+    # the 3-sigma bands reach more triples, and fail on as many as in 20
+    # dimensions when every triple is evaluated
+    code, out = run(
+        capsys,
+        ["check", "assoc", "--pi", str(path), "--weights", "mc",
+         "--samples", "10000", "--seed", "7"],
+    )
+    assert code == 1
+    assert (out["mode"], out["failures"], out["triples"]) == ("mc", 6, 512_000)
+
+
 def test_check_assoc_reads_only_the_owners_weight(
     capsys, so3_file, weight_cache_path, tmp_path
 ):
@@ -993,6 +1032,46 @@ def test_check_wick_cost_does_not_grow_with_order(capsys):
 def test_check_hochschild(capsys):
     code, out = run(capsys, ["check", "hochschild"])
     assert code == 0 and out["pass"] is True
+
+
+def test_check_wick_counts_every_trial_a_wrong_oracle_fails(capsys, monkeypatch):
+    from deformq import suites
+
+    real = suites.moyal_via_wick
+
+    def perturbed(pi, f, g, order):
+        series = real(pi, f, g, order)
+        shifted = series.coeffs[0] + Polynomial.const(pi.dim, 1)
+        return FormalSeries(series.order, (shifted,) + series.coeffs[1:])
+
+    monkeypatch.setattr(suites, "moyal_via_wick", perturbed)
+    code, out = run(capsys, ["check", "wick", "--order", "3"])
+    assert code == 1 and out["pass"] is False
+    assert out["failures"] == out["trials"] == 20
+
+
+@pytest.mark.parametrize(
+    "kernel, fake, broken",
+    [
+        # d(psi) = psi: d^2 and d(hkr(xi)) are nonzero
+        ("hochschild_d", lambda psi: psi, {"d_squared_zero", "hkr_closed"}),
+        # the pre-Lie composition alone, of the bracket's arity, is no Lie
+        # bracket (returning the first argument would add operators of
+        # different arities, a crash rather than a failed identity)
+        ("gerstenhaber_bracket", compose_gerstenhaber, {"gerstenhaber_jacobi"}),
+    ],
+    ids=["hochschild_d", "gerstenhaber_bracket"],
+)
+def test_check_hochschild_fails_on_a_broken_kernel(
+    capsys, monkeypatch, kernel, fake, broken
+):
+    from deformq import suites
+
+    monkeypatch.setattr(suites, kernel, fake)
+    code, out = run(capsys, ["check", "hochschild"])
+    assert code == 1 and out["pass"] is False
+    names = {"d_squared_zero", "gerstenhaber_jacobi", "hkr_closed"}
+    assert {name for name in names if not out[name]} == broken
 
 
 def test_check_requires_pi(capsys):
@@ -1381,33 +1460,36 @@ def test_star_warns_on_non_poisson(capsys, tmp_path, weight_cache_path, monkeypa
     path = tmp_path / "bad.json"
     save_poisson(bad, path)
     calls = []
-    real = starprod.jacobiator
+    real = cli.jacobiator
 
     def counting(pi):
         calls.append(pi)
         return real(pi)
 
-    monkeypatch.setattr(starprod, "jacobiator", counting)
+    # one verdict per request, from one jacobiator call, for star and for
+    # check assoc alike
     monkeypatch.setattr(cli, "jacobiator", counting)
-    code = main(
-        ["star", "--pi", str(path), "--f", "x1", "--g", "x2", "--order", "1",
-         "--cache", weight_cache_path]
-    )
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.err == (
-        "warning: [pi,pi] != 0, star product will not be associative\n"
-    )
-    assert json.loads(captured.out)["order"] == 1
-    assert len(calls) == 1
+    for argv in [
+        ["star", "--pi", str(path), "--f", "x1", "--g", "x2"],
+        ["check", "assoc", "--pi", str(path)],
+    ]:
+        calls.clear()
+        code = main(argv + ["--order", "1", "--cache", weight_cache_path])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == (
+            "warning: [pi,pi] != 0, star product will not be associative\n"
+        )
+        assert json.loads(captured.out)["order"] == 1
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("action", ["error", "ignore"])
 def test_star_leaves_any_other_warning_to_the_filters(
     capsys, so3_file, cache_arg, monkeypatch, action
 ):
-    # so(3) is Poisson: a warning raised in the assembly is not the series'
-    # non-Poisson warning, so it is an error under an "error" filter (a
+    # nothing records warnings: one raised in the assembly reaches the
+    # interpreter's filters, so it is an error under an "error" filter (a
     # crash, exit 70) and silent under "ignore"
     real = cli.kontsevich_star
 
@@ -1434,7 +1516,8 @@ def test_star_leaves_any_other_warning_to_the_filters(
 def test_star_prints_its_non_poisson_line_under_an_error_filter(
     capsys, tmp_path, cache_arg
 ):
-    # the series' own warning is the CLI's one line, never an error
+    # the CLI prints its non-Poisson line and raises no warning, so no
+    # filter makes it an error
     path = tmp_path / "bad.json"
     path.write_text(
         json.dumps({"dim": 3, "components": {"1,2": "x1", "1,3": "x3", "2,3": "x2"}})

@@ -14,7 +14,7 @@ from deformq.closedform import (
     moyal_via_wick,
     wick_pairings,
 )
-from deformq.graphs import orbit, parse_id
+from deformq.graphs import canonical_id, orbit, parse_id
 from deformq.operators import (
     MultiDiffOp,
     apply_op,
@@ -330,7 +330,9 @@ def test_kontsevich_missing_weight_raises():
         kontsevich_star_series(pi, star_classes(pi, 1), WeightTable())
 
 
-def test_kontsevich_warns_on_non_poisson():
+def test_kontsevich_assembles_a_non_poisson_pi_without_warning():
+    # whether pi is Poisson is the caller's question: the assembly only
+    # reads weights, so an empty table is refused and nothing warns
     bad = PolyVector(
         3,
         2,
@@ -343,10 +345,10 @@ def test_kontsevich_warns_on_non_poisson():
     from deformq.polyalg import jacobiator
 
     assert not jacobiator(bad).is_zero
-    table = WeightTable()
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(MissingWeightError):
-            kontsevich_star_series(bad, star_classes(bad, 1), table)
+            kontsevich_star_series(bad, star_classes(bad, 1), WeightTable())
 
 
 def _so3_series(table):
@@ -503,8 +505,7 @@ def test_order_two_associator_is_minus_two_hkr_jacobiator(weight_table):
         pi = _rand_quadratic_bivector(rng, dim)
         jac = jacobiator(pi)
         assert not jac.is_zero
-        with pytest.warns(UserWarning, match="not Poisson"):
-            series = kontsevich_star_series(pi, star_classes(pi, 2), weight_table)
+        series = kontsevich_star_series(pi, star_classes(pi, 2), weight_table)
         defect = operator_associator(series)
         assert defect[0].is_zero and defect[1].is_zero
         assert defect[2] == hkr(jac).scale(-2)
@@ -560,8 +561,7 @@ def test_order_two_associator_identity_holds_on_generic_families(
         ("2;2;[2,b1],[1,b2]", Fraction(1, 7), True),
     ]:
         table = _shifted_table(weight_table, rep_id, delta)
-        with pytest.warns(UserWarning, match="not Poisson"):
-            defect = operator_associator(kontsevich_star_series(pi, classes, table))
+        defect = operator_associator(kontsevich_star_series(pi, classes, table))
         assert defect[0].is_zero and defect[1].is_zero
         assert (defect[2] == expected) is holds
 
@@ -571,6 +571,20 @@ def test_class_rows_name_every_missing_graph():
     with pytest.raises(MissingWeightError) as info:
         class_rows(3, star_classes(so3_bivector(), 1), point_weights(WeightTable()))
     assert str(info.value) == "no snapped weight for graphs: 1;2;[b1,b2]"
+
+
+def test_band_weights_of_a_table_without_an_owner_name_every_owner_once():
+    # mc mode reads a band for every owner: an empty table has none, and
+    # each of so(3)'s 5 owners up to order 2 is named once
+    classes = star_classes(so3_bivector(), 2)
+    owners = [canonical_id(owner) for pairs in classes for owner, _ in pairs]
+    assert len(set(owners)) == len(owners) == 5
+    with pytest.raises(MissingWeightError) as info:
+        class_rows(3, classes, band_weights(WeightTable()))
+    prefix = "no snapped weight for graphs: "
+    assert str(info.value).startswith(prefix)
+    named = str(info.value)[len(prefix):].split(", ")
+    assert sorted(named) == sorted(owners)
 
 
 def test_orbit_cache_holds_an_order_three_assembly():
@@ -815,9 +829,7 @@ def test_wheel_weight_is_a_gauge_direction_at_order_two(weight_table):
     assert members == 8
 
     def series(pi, table):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a generic pi in 3-D is not Poisson
-            return kontsevich_star_series(pi, star_classes(pi, 2), table)
+        return kontsevich_star_series(pi, star_classes(pi, 2), table)
 
     rng = random.Random(71)
     generic = [_rand_quadratic_bivector(rng, dim) for dim in (2, 2, 3, 3)]
@@ -905,8 +917,6 @@ def test_first_order_antisym_rejects_second_order():
 
 def test_non_poisson_structure_fails_associativity(weight_table):
     # the order-2 defect must be visible when [pi,pi] != 0
-    import warnings as _warnings
-
     bad = PolyVector(
         3,
         2,
@@ -919,9 +929,7 @@ def test_non_poisson_structure_fails_associativity(weight_table):
     from deformq.polyalg import jacobiator
 
     assert not jacobiator(bad).is_zero
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        series = kontsevich_star_series(bad, star_classes(bad, 2), weight_table)
+    series = kontsevich_star_series(bad, star_classes(bad, 2), weight_table)
     xs = [Polynomial.var(3, i) for i in (1, 2, 3)]
     found_defect = False
     for f, g, h in itertools.product(xs, repeat=3):
