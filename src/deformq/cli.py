@@ -151,15 +151,16 @@ def _load_table(args, cache: Path) -> WeightTable:
 
 
 def _weight_table(
-    args, cache: Path, table: WeightTable, graphs: dict, max_order: int | None = None
+    args, cache: Path, graphs: dict, max_order: int | None = None
 ) -> WeightTable:
-    """`table` (_load_table) with `graphs` (id -> graph) filled at the weight
-    options.  Only the graphs without a snapped entry need a fill, and only
-    they load `weights`: one above `max_order` that no rule fixes is refused
-    (MissingWeightError) before any fill, and the rest go to
+    """The cache's table (_load_table) with `graphs` (id -> graph) filled at
+    the weight options.  Only the graphs without a snapped entry need a fill,
+    and only they load `weights`: one above `max_order` that no rule fixes is
+    refused (MissingWeightError) before any fill, and the rest go to
     build_weight_table.  mc mode estimates each afresh at exactly --samples
     and writes no file; table mode saves the entries it changed over the
     cache file as it is then, so another process's entries stay."""
+    table = _load_table(args, cache)
     mc = args.weights == "mc"
     need = [g for gid, g in graphs.items() if table.exact(gid) is None]
     if need:
@@ -202,9 +203,7 @@ def _star_table(
         )
     classes = star_classes(pi, args.order)
     graphs = {canonical_id(g): g for row in classes for g, _ in row}
-    table = _weight_table(
-        args, cache, _load_table(args, cache), graphs, MAX_SAMPLED_ORDER
-    )
+    table = _weight_table(args, cache, graphs, MAX_SAMPLED_ORDER)
     unsnapped = [gid for gid in graphs if table.exact(gid) is None]
     if unsnapped and snapped:
         raise CheckFailure(
@@ -274,7 +273,7 @@ def cmd_weight(args) -> int:
     if g.n > MAX_AERIAL:
         raise UsageError(f"--graph has {g.n} aerial vertices, more than {MAX_AERIAL}")
     gid = canonical_id(g)
-    entry = _weight_table(args, cache, _load_table(args, cache), {gid: g}).get(gid)
+    entry = _weight_table(args, cache, {gid: g}).get(gid)
     _emit({**entry.to_json(), "graph": gid})
     return 0
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial, prod
 from operator import add
-from typing import Iterable, Sequence
 
 from deformq.graphs import AdmissibleGraph, is_boundary
 from deformq.polyalg import (

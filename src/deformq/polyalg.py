@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
 
 from deformq.record import Frozen
 

@@ -584,7 +584,8 @@ def snap_bound(n: int) -> int:
 
 def snap(est: WeightEstimate, max_denominator: int) -> Fraction | None:
     """The unique rational p/q, q <= max_denominator, within 3 stderr of the
-    mean, or None when zero or several candidates lie in the band."""
+    mean, or None when zero or several candidates lie in the band.  It scans
+    every denominator up to the bound, which snap_bound keeps at 48 or less."""
     if max_denominator < 1:
         raise ValueError("snap requires max_denominator >= 1")
     if est.stderr <= 0:
@@ -593,20 +594,17 @@ def snap(est: WeightEstimate, max_denominator: int) -> Fraction | None:
     hi = est.mean + 3.0 * est.stderr
     if hi - lo >= 1.0:
         return None  # band this wide always holds several integers
-    # The fractions p/q, q <= n, in the band are consecutive in the Farey
-    # sequence of order n, so the one nearest the mean is alone there unless
-    # a neighbour is too: a/b with p b - a q = 1 and c/d with c q - p d = 1,
-    # each with the largest such denominator <= n.
-    n = max_denominator
-    near = Fraction(est.mean).limit_denominator(n)
-    p, q = near.numerator, near.denominator
-    inv = pow(p, -1, q)  # 0 when q == 1: both neighbours have denominator n
-    b, d = n - (n - inv) % q, n - (n + inv) % q
-    fractions = [(p, q), ((p * b - 1) // q, b), ((p * d + 1) // q, d)]
-    # exact for any bound: a float product lo * y overflows past 1.8e308
-    lo, hi = Fraction(lo), Fraction(hi)
-    inside = [lo * y <= x <= hi * y for x, y in fractions]
-    return near if inside == [True, False, False] else None
+    # every p/q in lowest terms with a/b <= p/q <= c/d, the band's ends taken
+    # exactly; a band narrower than 1 holds at most q numerators per q
+    a, b = lo.as_integer_ratio()
+    c, d = hi.as_integer_ratio()
+    found = [
+        (p, q)
+        for q in range(1, max_denominator + 1)
+        for p in range(-(-a * q // b), c * q // d + 1)
+        if math.gcd(p, q) == 1
+    ]
+    return Fraction(*found[0]) if len(found) == 1 else None
 
 
 # ---------------------------------------------------------------------------

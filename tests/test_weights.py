@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -479,46 +478,6 @@ def test_snap_matches_the_loop_over_every_candidate():
         assert snap(WeightEstimate("g", mean, stderr, 1, 1), bound) == want
         unique += want is not None
     assert 200 < unique < 2800  # both outcomes are covered
-
-
-def test_snap_stops_at_the_second_candidate():
-    # a loop over every p/q in the band takes hours at a bound of 10^6
-    def too_slow(signum, frame):
-        raise TimeoutError("snap scanned every denominator")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
-    try:
-        for mean, stderr in ((0.1234, 0.005), (-0.0413667, 1e-8)):
-            assert snap(WeightEstimate("g", mean, stderr, 1, 1), 10**6) is None
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_snap_with_one_candidate_does_not_scan_every_denominator():
-    # a loop over every q <= 10^8 takes about 45 s when 1/2 is the only candidate
-    def too_slow(signum, frame):
-        raise TimeoutError("snap scanned every denominator")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
-    try:
-        assert snap(WeightEstimate("g", 0.5, 1e-10, 1, 1), 10**8) == Fraction(1, 2)
-        # 49999999/99999999 lies 5e-9 from 1/2, inside a band of 3e-8
-        assert snap(WeightEstimate("g", 0.5, 1e-8, 1, 1), 10**8) is None
-        assert snap(WeightEstimate("g", 0.5, 1e-8, 1, 1), 10**7) == Fraction(1, 2)
-        assert snap(WeightEstimate("g", 2.0, 1e-10, 1, 1), 10**8) == Fraction(2)
-        assert snap(WeightEstimate("g", 1 / 3, 1e-10, 1, 1), 10**8) == Fraction(1, 3)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_snap_is_exact_for_a_bound_past_the_float_range():
-    # a float product lo * q overflows for q above about 1.8e308
-    assert snap(WeightEstimate("g", -0.0833, 0.002, 10000, 1), 10**400) is None
-    assert snap(WeightEstimate("g", 0.5, 1e-300, 1, 1), 10**400) == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
