@@ -51,6 +51,14 @@ def run(capsys, argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def refused(capsys, argv):
+    """(stdout, stderr) of argv, which the parser must refuse with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # graphs
 # ---------------------------------------------------------------------------
@@ -77,13 +85,13 @@ def test_graphs_empty(capsys):
 
 
 def test_graphs_scope_guard(capsys):
-    code = main(["graphs", "--n", "1", "--nbar", "0"])
-    assert code == 2
+    out, err = refused(capsys, ["graphs", "--n", "1", "--nbar", "0"])
+    assert out == "" and "argument --nbar: 0 is below 2" in err
 
 
 def test_graphs_refuses_a_negative_n(capsys):
-    assert main(["graphs", "--n", "-1", "--nbar", "2"]) == 2
-    assert capsys.readouterr() == ("", "error: invalid vertex counts\n")
+    out, err = refused(capsys, ["graphs", "--n", "-1", "--nbar", "2"])
+    assert out == "" and "argument --n: -1 is below 0" in err
 
 
 def test_graphs_refuses_more_than_a_million_before_enumerating(
@@ -94,8 +102,8 @@ def test_graphs_refuses_more_than_a_million_before_enumerating(
 
     monkeypatch.setattr(cli, "enumerate_graphs", refuse)
     # n = 5 has 36^5 = 60 466 176 labelled graphs
-    assert main(["graphs", "--n", "5", "--nbar", "2"]) == 2
-    assert "60466176 labelled graphs" in capsys.readouterr().err
+    out, err = refused(capsys, ["graphs", "--n", "5", "--nbar", "2"])
+    assert out == "" and "argument --n: 5 is above 4" in err
     # n = 4 has 25^4 = 390 625, under the limit
     monkeypatch.setattr(cli, "enumerate_graphs", lambda *args: [])
     code, out = run(capsys, ["graphs", "--n", "4", "--nbar", "2"])
@@ -104,13 +112,12 @@ def test_graphs_refuses_more_than_a_million_before_enumerating(
 
 @pytest.mark.parametrize("n", [748, 10_000_000])
 def test_graphs_refuses_a_huge_n_at_once(capsys, n):
-    # (n + 1)^(2n) is never multiplied out: at n = 748 it has more digits
-    # than Python prints, and at n = 10^7 it takes minutes to compute
+    # the count (n + 1)^(2n) must not be multiplied out: at n = 748 it has
+    # more digits than Python prints, and at n = 10^7 it takes minutes
     start = time.perf_counter()
-    assert main(["graphs", "--n", str(n), "--nbar", "2"]) == 2
+    out, err = refused(capsys, ["graphs", "--n", str(n), "--nbar", "2"])
     assert time.perf_counter() - start < 2
-    out, err = capsys.readouterr()
-    assert out == "" and f"--n {n} has {n + 1}^{2 * n} labelled graphs" in err
+    assert out == "" and f"argument --n: {n} is above 4" in err
 
 
 def test_a_crash_exits_70_with_empty_stdout(monkeypatch, capsys):
@@ -230,14 +237,14 @@ def test_weight_mc_mode_creates_no_cache(capsys, tmp_path):
     assert not cache.exists()
 
 
-def test_weight_samples_floor_in_table_mode(tmp_path):
+def test_weight_samples_floor_in_table_mode(capsys, tmp_path):
     # a one-sample estimate has zero spread and must not snap to 0
     cache = tmp_path / "w.json"
-    code = main(
-        ["weight", "--graph", "1;2;[b1,b2]", "--samples", "1",
-         "--cache", str(cache)]
+    out, err = refused(
+        capsys,
+        ["weight", "--graph", "1;2;[b1,b2]", "--samples", "1", "--cache", str(cache)],
     )
-    assert code == 2
+    assert out == "" and "argument --samples: 1 is below 10000" in err
     assert not cache.exists()
 
 
@@ -296,11 +303,11 @@ def test_seed_outside_32_bits_refused_before_any_work(
     _forbid_monte_carlo(monkeypatch)
     cache = tmp_path / "w.json"
     pi = [] if command[0] == "weight" else ["--pi", so3_file, "--order", "2"]
-    code = main(
-        command + pi + ["--samples", "10000", "--seed", seed, "--cache", str(cache)]
+    out, err = refused(
+        capsys,
+        command + pi + ["--samples", "10000", "--seed", seed, "--cache", str(cache)],
     )
-    assert code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert out == "" and "argument --seed" in err
     assert not cache.exists()
 
 
@@ -320,9 +327,8 @@ def test_samples_above_the_cap_refused_before_any_work(
     _forbid_monte_carlo(monkeypatch)
     cache = tmp_path / "w.json"
     pi = [] if command[0] == "weight" else ["--pi", so3_file, "--order", "2"]
-    code = main(command + pi + ["--samples", samples, "--cache", str(cache)])
-    assert code == 2
-    assert "--samples" in capsys.readouterr().err
+    out, err = refused(capsys, command + pi + ["--samples", samples, "--cache", str(cache)])
+    assert out == "" and f"argument --samples: {samples} is above 64000000" in err
     assert not cache.exists()
 
 
@@ -415,6 +421,15 @@ def test_moyal_any_order(capsys, const_pi_file):
     assert out == {"order": 4, "coeffs": [str(c) for c in expected.coeffs]}
 
 
+def test_moyal_order_above_a_million_refused_at_once(capsys, const_pi_file):
+    # moyal prints order + 1 coefficients: 10^9 would take tens of GB
+    argv = ["moyal", "--pi", const_pi_file, "--f", "x1", "--g", "x2"]
+    start = time.perf_counter()
+    out, err = refused(capsys, argv + ["--order", "1000000000"])
+    assert time.perf_counter() - start < 1
+    assert out == "" and "argument --order: 1000000000 is above 1000000" in err
+
+
 def test_moyal_cost_bounded_by_the_degrees_of_the_arguments(capsys, tmp_path):
     # every component nonzero, so that building the series' P^14 in full
     # would take more than a minute
@@ -439,10 +454,9 @@ def test_moyal_cost_bounded_by_the_degrees_of_the_arguments(capsys, tmp_path):
 )
 def test_negative_order_refused(capsys, const_pi_file, argv):
     pi = ["--pi", const_pi_file] if argv[0] == "moyal" else []
-    assert main(argv + pi + ["--order", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--order must be nonnegative" in captured.err
+    out, err = refused(capsys, argv + pi + ["--order", "-1"])
+    assert out == ""
+    assert "argument --order: -1 is below 0" in err
 
 
 # the options each command does not read: a usage error, never ignored;
@@ -607,6 +621,32 @@ def test_digits_other_than_ascii_are_usage_errors(capsys, tmp_path, cache_arg, w
     assert not (tmp_path / "w.json").exists()
 
 
+# values int() reads as 2, 1, 7, 1000000 and 2
+@pytest.mark.parametrize(
+    "option, value",
+    [("--order", "\u0662"), ("--n", "\u0661"), ("--seed", "\u0667"),
+     ("--samples", "1_000_000"), ("--order", " 2")],
+    ids=["order-arabic-indic", "n-arabic-indic", "seed-arabic-indic",
+         "samples-underscores", "order-space"],
+)
+def test_integer_options_take_ascii_digits_only(
+    monkeypatch, capsys, tmp_path, so3_file, option, value
+):
+    cache = tmp_path / "w.json"
+    monkeypatch.setenv(cli.ENV_CACHE, str(cache))
+    star = ["star", "--pi", so3_file, "--f", "x1", "--g", "x2"]
+    argv = {
+        "--order": star,
+        "--n": ["graphs", "--nbar", "2"],
+        "--seed": ["weight", "--graph", "1;2;[b1,b2]"],
+        "--samples": star,
+    }[option]
+    out, err = refused(capsys, argv + [option, value])
+    assert out == ""
+    assert f"argument {option}: {value!r} is not an integer in digits 0-9" in err
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("order", ["4", "40"])
 @pytest.mark.parametrize("mode", ["table", "mc"])
 @pytest.mark.parametrize(
@@ -623,14 +663,14 @@ def test_orders_above_three_refused_before_any_enumeration(
     for module in (graphs, starprod, cli):
         monkeypatch.setattr(module, "enumerate_graphs", no_enumeration)
     cache = tmp_path / "w.json"
-    code = main(
+    out, err = refused(
+        capsys,
         command
         + ["--pi", so3_file, "--order", order, "--weights", mode,
-           "--samples", "10000", "--cache", str(cache)]
+           "--samples", "10000", "--cache", str(cache)],
     )
-    out, err = capsys.readouterr()
-    assert (code, out) == (2, "")
-    assert err == f"error: --order {order} is above 3, the highest star order\n"
+    assert out == ""
+    assert err.endswith(f"error: argument --order: {order} is above 3\n")
     assert not cache.exists()
 
 
@@ -821,12 +861,13 @@ def test_star_order_three_on_so3_enumerates_only_the_graphs_it_reads(
     assert counts[3] == 640
 
 
-def test_mc_samples_guard(so3_file):
-    code = main(
+def test_mc_samples_guard(capsys, so3_file):
+    out, err = refused(
+        capsys,
         ["star", "--pi", so3_file, "--f", "x1", "--g", "x2",
-         "--weights", "mc", "--samples", "100"]
+         "--weights", "mc", "--samples", "100"],
     )
-    assert code == 2
+    assert out == "" and "argument --samples: 100 is below 10000" in err
 
 
 # ---------------------------------------------------------------------------

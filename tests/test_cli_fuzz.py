@@ -162,9 +162,9 @@ def _fixed_cases(pis: list[str], odd: list[str]) -> list[tuple]:
         (None, [*star[:-1], ("cache", "null"), "--weights", "mc"]),
         (2, [*star[:-1], ("cache", "null")]),
         (2, [*star[:-1], ("cache", "directory")]),
-        (2, [*star, "--order", "5"]),
-        (2, [*star, "--seed", "-1"]),
-        (2, [*star, "--samples", "5"]),
+        ("argparse", [*star, "--order", "5"]),
+        ("argparse", [*star, "--seed", "-1"]),
+        ("argparse", [*star, "--samples", "5"]),
         (2, ["moyal", "--pi", odd[2], "--f", "x1", "--g", "x2"]),
         (0, ["check", "wick", "--order", "100000"]),
         (0, ["check", "hochschild", "--seed", "-1"]),
